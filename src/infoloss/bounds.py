@@ -23,17 +23,16 @@ from typing import Optional
 import numpy as np
 
 from .classify import Classification, classify
-from .errors import InfiniteLossError, ZeroDensityError
+from .errors import InfiniteLossError
+from .loss import CardinalityTally, estimate, subdomain_counts
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
-from .numerics import (
-    CHUNK_SIZE,
-    MCResult,
-    RunningStat,
-    chunk_plan,
-    derived_seed,
-    run_chunks,
-)
-from .transform import DEFAULT_TOL, build_candidates
+from .numerics import CHUNK_SIZE, MCResult, derived_seed, run_chunks  # noqa: F401
+from .transform import DEFAULT_TOL, build_candidates  # noqa: F401
+
+# The chunk work runs in ``loss.estimate``.  run_chunks and
+# build_candidates stay bound here because the benchmark's layer tracer
+# (perfbench/tracer.py) rebinds them in every importing module and its
+# tests expect them in this one.
 
 __all__ = ["BoundsReport", "bounds_report", "entropy_W"]
 
@@ -51,6 +50,27 @@ class BoundsReport:
     branch_masses: dict
     n_samples: int
     seed: int
+
+    @classmethod
+    def from_tally(cls, m: PiecewiseMap, tally: CardinalityTally, n: int,
+                   seed: int) -> "BoundsReport":
+        e_log, e_card, counts = tally.log_card, tally.card, tally.code_counts
+        log_e_card_stderr = e_card.stderr / (e_card.mean * math.log(2))
+        h_w, h_w_stderr = _plugin_entropy(counts, n)
+        trunc = tally.truncated
+        return cls(
+            e_log_card_bits=e_log.mean,
+            log_e_card_bits=math.log2(e_card.mean),
+            max_log_card_bits=math.log2(tally.max_card),
+            h_W_bits=h_w,
+            stderrs={"e_log_card": e_log.stderr,
+                     "log_e_card": log_e_card_stderr,
+                     "max_log_card": 0.0, "h_W": h_w_stderr},
+            infinite_flags={"e_log_card": trunc, "log_e_card": trunc,
+                            "max_log_card": trunc, "h_W": False},
+            branch_masses={m.code_label(code): counts[code] / n
+                           for code in sorted(counts)},
+            n_samples=n, seed=seed)
 
     def to_dict(self) -> dict:
         return {
@@ -88,74 +108,16 @@ def bounds_report(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
         # report misleading finite numbers for maps with atoms or collapses
         raise InfiniteLossError(classification)
 
-    bij = np.array([p.kind == "bijective" for p in m.parts], dtype=bool)
-    plan = chunk_plan(n, chunk_size)
-
-    def one(c, mlen):
-        x = d.sample(mlen, derived_seed(seed, c))
-        part_idx, k, _ = m.dispatch_batch(x, strict=True)
-        ok = bij[part_idx]
-        y = m.forward_batch(x, part_idx, k)
-        table = build_candidates(m, d, y, tol, k_max)
-        card = table.cardinality.astype(float)
-        bad = ok & ~(card > 0)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ZeroDensityError(y[i])
-        card = np.where(ok, card, 1.0)
-        codes = m.codes_batch(part_idx, k)
-        uniq, cnts = np.unique(codes, return_counts=True)
-        return (np.log2(card), card, int(card.max()),
-                dict(zip(uniq.tolist(), cnts.tolist())),
-                bool(table.truncated.any()))
-
-    log_stat, card_stat = RunningStat(), RunningStat()
-    max_card = 0
-    counts: dict[int, int] = {}
-    truncated = False
-    for logs, cards, mx, cnts, trunc in run_chunks(one, plan, workers):
-        log_stat.add_chunk(logs)
-        card_stat.add_chunk(cards)
-        max_card = max(max_card, mx)
-        for code, cnt in cnts.items():
-            counts[code] = counts.get(code, 0) + cnt
-        truncated |= trunc
-
-    e_log = log_stat.result()
-    e_card = card_stat.result()
-    log_e_card = math.log2(e_card.mean)
-    log_e_card_stderr = e_card.stderr / (e_card.mean * math.log(2))
-    h_w, h_w_stderr = _plugin_entropy(counts, n)
-    masses = {m.code_label(code): counts[code] / n for code in sorted(counts)}
-
-    return BoundsReport(
-        e_log_card_bits=e_log.mean,
-        log_e_card_bits=log_e_card,
-        max_log_card_bits=math.log2(max_card),
-        h_W_bits=h_w,
-        stderrs={"e_log_card": e_log.stderr, "log_e_card": log_e_card_stderr,
-                 "max_log_card": 0.0, "h_W": h_w_stderr},
-        infinite_flags={"e_log_card": truncated, "log_e_card": truncated,
-                        "max_log_card": truncated, "h_W": False},
-        branch_masses=masses,
-        n_samples=n, seed=seed)
+    tally = estimate(m, d, n, seed, ("bounds",), tol=tol, k_max=k_max,
+                     chunk_size=chunk_size, workers=workers,
+                     classification=classification)["bounds"]
+    return BoundsReport.from_tally(m, tally, n, seed)
 
 
 def entropy_W(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
               chunk_size: int = CHUNK_SIZE, workers: int = 1) -> MCResult:
     """Plug-in entropy (bits) of the subdomain index of x ~ f_X, with the
     delta-method standard error."""
-    plan = chunk_plan(n, chunk_size)
-
-    def one(c, mlen):
-        x = d.sample(mlen, derived_seed(seed, c))
-        part_idx, k, _ = m.dispatch_batch(x, strict=True)
-        uniq, cnts = np.unique(m.codes_batch(part_idx, k), return_counts=True)
-        return dict(zip(uniq.tolist(), cnts.tolist()))
-
-    counts: dict[int, int] = {}
-    for cnts in run_chunks(one, plan, workers):
-        for code, cnt in cnts.items():
-            counts[code] = counts.get(code, 0) + cnt
-    h, stderr = _plugin_entropy(counts, n)
+    h, stderr = _plugin_entropy(
+        subdomain_counts(m, d, n, seed, chunk_size, workers), n)
     return MCResult(h, stderr, n)

@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import loss as loss_mod
-from .bounds import bounds_report
+from .bounds import BoundsReport, bounds_report
 from .classify import atom_scan, classify
 from .config import (
     ModelSetup,
@@ -54,28 +54,47 @@ def _load(args) -> ModelSetup:
     return load_config_file(resolve_config_path(args.config))
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _analysis_overrides(setup: ModelSetup, args):
     a = setup.analysis
-    n = args.n if getattr(args, "n", None) else a.n
+
+    def given(flag, default):
+        value = getattr(args, flag, None)
+        return default if value is None else _at_least_one(f"--{flag}", value)
+
+    n = given("n", a.n)
     seed = args.seed if getattr(args, "seed", None) is not None else a.seed
-    nodes = args.nodes if getattr(args, "nodes", None) else a.nodes_per_dim
+    nodes = given("nodes", a.nodes_per_dim)
     depths = a.depths
     if getattr(args, "depths", None):
         depths = _parse_depths(args.depths)
-    workers = getattr(args, "workers", None) or 1
+    workers = given("workers", 1)
     return n, seed, nodes, depths, workers
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(","))
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            depths = tuple(range(int(lo), int(hi) + 1))
+        else:
+            depths = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--depths wants A:B or a comma list of integers, "
+                          f"got {text!r}") from None
+    if any(v < 0 for v in depths):
+        raise ConfigError(f"--depths must be nonnegative, got {text!r}")
+    return depths
 
 
 def cmd_validate(args) -> int:
     setup = _load(args)
-    n_probe = args.n or 10_000
+    n_probe = 10_000 if args.n is None else _at_least_one("--n", args.n)
     report = validate(setup.pmap, setup.density, n_probe=n_probe,
                       seed=args.seed if args.seed is not None else setup.analysis.seed)
     _emit(report.to_dict())
@@ -142,7 +161,8 @@ _REPORT_SWEEP_CAP = 200_000
 def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
                  depths, workers: int, timing: bool = False) -> dict:
     """The full analysis document: validation, classification, all loss
-    routes, bounds and the partition sweep (finite maps only)."""
+    routes, bounds and the partition sweep (finite maps only).  The
+    Monte-Carlo estimators share one pass over the sample stream."""
     t0 = time.monotonic()
     m, d, a = setup.pmap, setup.density, setup.analysis
     warnings: list[str] = []
@@ -166,11 +186,12 @@ def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
     if cls.verdict == "Infinite":
         warnings.append("loss is infinite; finite estimators were skipped")
     else:
-        losses = {}
-        rep = loss_mod.loss_eq5_mc(m, d, n, seed, tol=a.tol, k_max=a.k_max,
-                                   workers=workers, classification=cls)
-        losses["eq5_mc"] = rep.to_dict()
-        if rep.truncated:
+        est = loss_mod.estimate(
+            m, d, n, seed, loss_mod.ESTIMATORS, depths=depths,
+            sweep_n=min(n, _REPORT_SWEEP_CAP), tol=a.tol, k_max=a.k_max,
+            workers=workers, classification=cls)
+        losses = {"eq5_mc": est["eq5_mc"].to_dict()}
+        if est["eq5_mc"].truncated:
             warnings.append("family enumeration truncated in eq5_mc")
         if m.dim <= 2:
             losses["eq5_quadrature"] = loss_mod.loss_eq5_quadrature(
@@ -178,19 +199,12 @@ def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
                 classification=cls, seed=seed).to_dict()
         else:
             warnings.append("quadrature skipped: dimension exceeds 2")
-        losses["corollary1"] = loss_mod.loss_corollary1(
-            m, d, n, seed, tol=a.tol, k_max=a.k_max,
-            workers=workers, classification=cls).to_dict()
-        losses["branch_posterior"] = loss_mod.loss_branch_posterior(
-            m, d, n, seed, tol=a.tol, k_max=a.k_max,
-            workers=workers, classification=cls).to_dict()
+        losses["corollary1"] = est["corollary1"].to_dict()
+        losses["branch_posterior"] = est["branch_posterior"].to_dict()
         out["loss"] = losses
-        out["bounds"] = bounds_report(
-            m, d, n, seed, tol=a.tol, k_max=a.k_max,
-            workers=workers, classification=cls).to_dict()
-        out["sweep"] = loss_mod.partition_sweep(
-            m, d, depths, min(n, _REPORT_SWEEP_CAP), seed, tol=a.tol,
-            k_max=a.k_max, workers=workers, classification=cls).to_dict()
+        out["bounds"] = BoundsReport.from_tally(m, est["bounds"], n,
+                                                seed).to_dict()
+        out["sweep"] = est["sweep"].to_dict()
     out["warnings"] = warnings
     if timing:
         out["wall_time_s"] = time.monotonic() - t0

@@ -21,11 +21,20 @@ raising :class:`InfiniteLossError` instead of returning a number.
 Sampling follows the chunked deterministic contract of the numerics
 module, so repeated runs and different worker counts give bit-identical
 reports.
+
+Every Monte-Carlo estimate here and in the bounds module runs on one
+chunk engine, ``estimate``: it walks the sample stream once, builds
+each chunk's pipeline stages only as far as the requested estimators
+read them, and hands the chunk to each estimator's reducer.  The report
+requests all estimators in one call, so they share one pass over the
+sample stream; the public functions select one estimator each and give
+the same numbers as the shared pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +44,9 @@ from .errors import InfiniteLossError, SingularJacobianError, ZeroDensityError
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
 from .numerics import (
     CHUNK_SIZE,
+    MCResult,
     RunningStat,
+    chunk_moments,
     chunk_plan,
     derived_seed,
     run_chunks,
@@ -46,6 +57,9 @@ from .transform import DEFAULT_TOL, build_candidates, posterior_entropy_bits
 __all__ = [
     "LossReport",
     "PartitionSweep",
+    "CardinalityTally",
+    "ESTIMATORS",
+    "estimate",
     "loss_eq5_mc",
     "loss_eq5_quadrature",
     "loss_corollary1",
@@ -53,6 +67,7 @@ __all__ = [
     "partition_sweep",
     "differential_entropy_mc",
     "expected_log_jacdet",
+    "subdomain_counts",
 ]
 
 _CLASSIFY_N = 100_000
@@ -104,33 +119,59 @@ def _gate(m: PiecewiseMap, d: InputDensity, seed: int,
 
 
 class _Chunk:
-    """Shared per-chunk sample pipeline: x ~ f_X, dispatch, forward,
+    """One chunk of the sample stream, x ~ f_X under the chunk's Philox
+    key, with the pipeline stages built on first use and then shared by
+    every estimator that reads the chunk: dispatch, forward map,
     Jacobian, input density and the preimage candidate table at g(x)."""
 
-    __slots__ = ("x", "y", "jac", "fx", "ok", "table")
+    def __init__(self, m: Optional[PiecewiseMap], d: InputDensity,
+                 chunk_seed: int, mlen: int, tol: float, k_max: int):
+        self.m, self.d, self.tol, self.k_max = m, d, tol, k_max
+        self.x = d.sample(mlen, chunk_seed)
 
-    def __init__(self, m: PiecewiseMap, d: InputDensity, chunk_seed: int,
-                 mlen: int, tol: float, k_max: int):
-        x = d.sample(mlen, chunk_seed)
-        part_idx, k, _ = m.dispatch_batch(x, strict=True)
-        bij = np.array([p.kind == "bijective" for p in m.parts], dtype=bool)
-        ok = bij[part_idx]
-        y = m.forward_batch(x, part_idx, k)
-        jac = np.ones(mlen)
+    @cached_property
+    def dispatch(self) -> tuple[np.ndarray, np.ndarray]:
+        """(part index, family member k) per row."""
+        part_idx, k, _ = self.m.dispatch_batch(self.x, strict=True)
+        return part_idx, k
+
+    @cached_property
+    def ok(self) -> np.ndarray:
+        """Rows in bijective parts; the other rows carry no loss."""
+        bij = np.array([p.kind == "bijective" for p in self.m.parts],
+                       dtype=bool)
+        return bij[self.dispatch[0]]
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self.m.forward_batch(self.x, *self.dispatch)
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        """|det J| on bijective rows (1 elsewhere), checked positive."""
+        part_idx, k = self.dispatch
+        ok = self.ok
+        jac = np.ones(self.x.shape[0])
         if np.any(ok):
-            jac[ok] = m.jac_batch(x[ok], part_idx[ok], k[ok])
+            jac[ok] = self.m.jac_batch(self.x[ok], part_idx[ok], k[ok])
         bad = ok & ~(jac > 0.0)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise SingularJacobianError(x[i], float(jac[i]))
-        self.x = x
-        self.y = y
-        self.jac = jac
-        self.fx = d.pdf_batch(x)
-        self.ok = ok
-        self.table = build_candidates(m, d, y, tol, k_max)
+            raise SingularJacobianError(self.x[i], float(jac[i]))
+        return jac
+
+    @cached_property
+    def fx(self) -> np.ndarray:
+        return self.d.pdf_batch(self.x)
+
+    @cached_property
+    def table(self):
+        return build_candidates(self.m, self.d, self.y, self.tol, self.k_max)
 
     def f_y_checked(self) -> np.ndarray:
+        """f_Y at g(x), refusing bijective rows of zero output density.
+        The sample's own Jacobian is checked before the table is built."""
+        self.jac  # a singular sample Jacobian is reported as such
         fy = self.table.f_y
         bad = self.ok & ~(fy > 0.0)
         if np.any(bad):
@@ -139,23 +180,227 @@ class _Chunk:
         return fy
 
 
-def _run_mc(m, d, n, seed, tol, k_max, chunk_size, workers, values_of_chunk):
-    """Map a chunk -> per-sample-values function over the sample budget."""
-    plan = chunk_plan(n, chunk_size)
+# --- per-chunk reducers: a _Chunk in, a small per-chunk summary out ----------
 
+def _flags(ch: _Chunk) -> tuple[bool, int]:
+    """Truncated family enumeration and rows outside bijective parts."""
+    return bool(ch.table.truncated.any()), int(np.count_nonzero(~ch.ok))
+
+
+def _log_jac(ch: _Chunk) -> np.ndarray:
+    v = np.zeros(ch.x.shape[0])
+    v[ch.ok] = np.log2(ch.jac[ch.ok])
+    return v
+
+
+def _eq5(ch: _Chunk):
+    fy = ch.f_y_checked()
+    v = np.zeros(ch.x.shape[0])
+    ok = ch.ok
+    v[ok] = np.log2(fy[ok] * ch.jac[ok] / ch.fx[ok])
+    return chunk_moments(v)
+
+
+def _corollary1(ch: _Chunk):
+    fy = ch.f_y_checked()
+    ok = ch.ok
+    mlen = ok.shape[0]
+    neg_log_fx = np.zeros(mlen)
+    neg_log_fx[ok] = -np.log2(ch.fx[ok])
+    neg_log_fy = np.zeros(mlen)
+    neg_log_fy[ok] = -np.log2(fy[ok])
+    log_jac = _log_jac(ch)
+    exact_hx = ch.d.exact_diffent_bits
+    hx_term = np.full(mlen, exact_hx) if exact_hx is not None else neg_log_fx
+    v = hx_term - neg_log_fy + log_jac
+    return tuple(chunk_moments(a) for a in (v, neg_log_fx, neg_log_fy, log_jac))
+
+
+def _branch_posterior(ch: _Chunk):
+    ch.f_y_checked()
+    h = posterior_entropy_bits(ch.table)
+    return chunk_moments(np.where(ch.ok, h, 0.0))
+
+
+def _code_counts(ch: _Chunk) -> dict[int, int]:
+    uniq, cnts = np.unique(ch.m.codes_batch(*ch.dispatch), return_counts=True)
+    return dict(zip(uniq.tolist(), cnts.tolist()))
+
+
+def _cardinality(ch: _Chunk):
+    card = ch.table.cardinality.astype(float)
+    bad = ch.ok & ~(card > 0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ZeroDensityError(ch.y[i])
+    card = np.where(ch.ok, card, 1.0)
+    return (chunk_moments(np.log2(card)), chunk_moments(card),
+            int(card.max()), _code_counts(ch))
+
+
+def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
+    ch.f_y_checked()
+    t = ch.table
+    lo, hi = ch.d.support.bbox.arrays()
+    span = hi - lo
+    per_depth = []
+    for depth in depths:
+        ncells = 1 << depth
+        axes = np.floor((t.x - lo) / span * ncells)
+        axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
+        cell = axes[..., 0]
+        for dd in range(1, ch.m.dim):
+            cell = cell * ncells + axes[..., dd]
+        cell = np.where(t.valid, cell, -1)
+        h = _grouped_entropy_bits(cell, t.weight, t.f_y)
+        per_depth.append(chunk_moments(np.where(ch.ok, h, 0.0)))
+    return tuple(per_depth)
+
+
+def _neg_log_fx(ch: _Chunk):
+    fx = ch.fx
+    if np.any(fx <= 0.0):
+        i = int(np.argmax(fx <= 0.0))
+        raise ZeroDensityError(ch.x[i])
+    return chunk_moments(-np.log2(fx))
+
+
+_REDUCERS = {"eq5_mc": _eq5, "corollary1": _corollary1,
+             "branch_posterior": _branch_posterior, "bounds": _cardinality}
+ESTIMATORS = (*_REDUCERS, "sweep")
+
+
+# --- the chunk engine ---------------------------------------------------------
+
+def _walk(m, d, seed: int, jobs: dict, tol: float, k_max: int,
+          workers: int) -> dict[str, list]:
+    """Build every chunk of ``jobs`` once and hand it to its reducers.
+
+    ``jobs`` maps (chunk index, chunk length) to {name: reducer}.
+    Returns, per reducer name, its per-chunk summaries in job order.
+    """
     def one(c, mlen):
         ch = _Chunk(m, d, derived_seed(seed, c), mlen, tol, k_max)
-        return values_of_chunk(ch), bool(ch.table.truncated.any()), int(
-            np.count_nonzero(~ch.ok))
+        return [(name, reduce(ch)) for name, reduce in jobs[c, mlen].items()]
 
+    out: dict[str, list] = {}
+    for summaries in run_chunks(one, list(jobs), workers):
+        for name, summary in summaries:
+            out.setdefault(name, []).append(summary)
+    return out
+
+
+def _one_estimator(m, d, n: int, seed: int, reduce, chunk_size: int,
+                   workers: int) -> list:
+    jobs = {cm: {"v": reduce} for cm in chunk_plan(n, chunk_size)}
+    return _walk(m, d, seed, jobs, DEFAULT_TOL, DEFAULT_K_MAX, workers)["v"]
+
+
+def _stat(moments) -> MCResult:
     stat = RunningStat()
-    truncated = False
-    excluded = 0
-    for values, trunc, excl in run_chunks(one, plan, workers):
-        stat.add_chunk(values)
-        truncated |= trunc
-        excluded += excl
-    return stat.result(), truncated, excluded / n
+    for s, ss, count in moments:
+        stat.add_moments(s, ss, count)
+    return stat.result()
+
+
+def _merge_counts(per_chunk) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for cnts in per_chunk:
+        for code, cnt in cnts.items():
+            counts[code] = counts.get(code, 0) + cnt
+    return counts
+
+
+@dataclass(frozen=True)
+class CardinalityTally:
+    """What the bounds read from the sample: log2 and plain preimage
+    cardinality, its largest value, and the subdomain-code counts."""
+
+    log_card: MCResult
+    card: MCResult
+    max_card: int
+    code_counts: dict
+    truncated: bool
+
+
+def _corollary1_report(d: InputDensity, per_chunk, n: int, seed: int,
+                       truncated: bool, excluded: float) -> LossReport:
+    total, hx_mc, hy, ejac = (_stat(col) for col in zip(*per_chunk))
+    exact_hx = d.exact_diffent_bits
+    if exact_hx is not None:
+        h_x, h_x_stderr = float(exact_hx), 0.0
+    else:
+        h_x, h_x_stderr = hx_mc.mean, hx_mc.stderr
+    components = {
+        "h_X_bits": h_x, "h_X_stderr": h_x_stderr,
+        "h_Y_bits": hy.mean, "h_Y_stderr": hy.stderr,
+        "e_logjac_bits": ejac.mean, "e_logjac_stderr": ejac.stderr,
+    }
+    loss_bits = h_x - hy.mean + ejac.mean  # stored identity, exact in floats
+    return LossReport(loss_bits, total.stderr, "corollary1", n, seed,
+                      components=components, truncated=truncated,
+                      excluded_fraction=excluded)
+
+
+def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
+             estimators: Sequence[str], depths: Sequence[int] = (),
+             sweep_n: Optional[int] = None,
+             tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
+             chunk_size: int = CHUNK_SIZE, workers: int = 1,
+             classification: Optional[Classification] = None) -> dict:
+    """Run the requested estimators over one pass of the sample stream.
+
+    ``estimators`` names any of ``ESTIMATORS``.  The loss routes come
+    back as :class:`LossReport`, ``"bounds"`` as a
+    :class:`CardinalityTally` and ``"sweep"`` as a
+    :class:`PartitionSweep` over the first ``sweep_n`` samples (default
+    ``n``) at ``depths``.  Chunk c is a pure function of
+    ``derived_seed(seed, c)``, so each chunk is built once and every
+    estimator reads the same arrays it would read on its own.  A sweep
+    chunk with the index and length of a main chunk is that chunk; a
+    shorter one (the sweep's last) is built on its own, never cut from
+    the longer chunk, because the rejection sampler's batch depends on
+    the chunk length.
+    """
+    _gate(m, d, seed, classification)
+    main = {name: _REDUCERS[name] for name in estimators if name != "sweep"}
+    if main:
+        main["flags"] = _flags  # last: the reducers' checks come first
+    jobs = {cm: dict(main) for cm in chunk_plan(n, chunk_size)} if main else {}
+    if "sweep" in estimators:
+        depths = [int(v) for v in depths]
+        if any(v < 0 for v in depths):
+            raise ValueError("depths must be nonnegative")
+        sweep = partial(_sweep_depths, depths=depths)
+        sweep_n = n if sweep_n is None else sweep_n
+        for cm in chunk_plan(sweep_n, chunk_size):
+            jobs.setdefault(cm, {})["sweep"] = sweep
+
+    out = _walk(m, d, seed, jobs, tol, k_max, workers)
+    res: dict = {}
+    if main:
+        truncated = any(t for t, _ in out["flags"])
+        excluded = sum(e for _, e in out["flags"]) / n
+    for route in ("eq5_mc", "branch_posterior"):
+        if route in out:
+            r = _stat(out[route])
+            res[route] = LossReport(r.mean, r.stderr, route, n, seed,
+                                    truncated=truncated,
+                                    excluded_fraction=excluded)
+    if "corollary1" in out:
+        res["corollary1"] = _corollary1_report(d, out["corollary1"], n, seed,
+                                               truncated, excluded)
+    if "bounds" in out:
+        logs, cards, maxes, counts = zip(*out["bounds"])
+        res["bounds"] = CardinalityTally(_stat(logs), _stat(cards), max(maxes),
+                                         _merge_counts(counts), truncated)
+    if "sweep" in out:
+        results = [_stat(col) for col in zip(*out["sweep"])]
+        res["sweep"] = PartitionSweep(tuple(depths),
+                                      tuple(r.mean for r in results),
+                                      tuple(r.stderr for r in results),
+                                      sweep_n, seed)
+    return res
 
 
 def loss_eq5_mc(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
@@ -163,19 +408,9 @@ def loss_eq5_mc(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                 chunk_size: int = CHUNK_SIZE, workers: int = 1,
                 classification: Optional[Classification] = None) -> LossReport:
     """Monte-Carlo mean of the exact loss integrand over x ~ f_X."""
-    _gate(m, d, seed, classification)
-
-    def values(ch: _Chunk) -> np.ndarray:
-        fy = ch.f_y_checked()
-        v = np.zeros(ch.x.shape[0])
-        ok = ch.ok
-        v[ok] = np.log2(fy[ok] * ch.jac[ok] / ch.fx[ok])
-        return v
-
-    res, truncated, excluded = _run_mc(m, d, n, seed, tol, k_max,
-                                       chunk_size, workers, values)
-    return LossReport(res.mean, res.stderr, "eq5_mc", n, seed,
-                      truncated=truncated, excluded_fraction=excluded)
+    return estimate(m, d, n, seed, ("eq5_mc",), tol=tol, k_max=k_max,
+                    chunk_size=chunk_size, workers=workers,
+                    classification=classification)["eq5_mc"]
 
 
 def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
@@ -224,48 +459,9 @@ def loss_corollary1(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                     classification: Optional[Classification] = None) -> LossReport:
     """h(X) - h(Y) + E[log2 |det J|], each term estimated on one sample
     stream; h(X) is taken exactly from the model when declared."""
-    _gate(m, d, seed, classification)
-    plan = chunk_plan(n, chunk_size)
-    exact_hx = d.exact_diffent_bits
-
-    def one(c, mlen):
-        ch = _Chunk(m, d, derived_seed(seed, c), mlen, tol, k_max)
-        fy = ch.f_y_checked()
-        ok = ch.ok
-        neg_log_fx = np.zeros(mlen)
-        neg_log_fx[ok] = -np.log2(ch.fx[ok])
-        neg_log_fy = np.zeros(mlen)
-        neg_log_fy[ok] = -np.log2(fy[ok])
-        log_jac = np.zeros(mlen)
-        log_jac[ok] = np.log2(ch.jac[ok])
-        hx_term = np.full(mlen, exact_hx) if exact_hx is not None else neg_log_fx
-        v = hx_term - neg_log_fy + log_jac
-        return (v, neg_log_fx, neg_log_fy, log_jac,
-                bool(ch.table.truncated.any()), int(np.count_nonzero(~ok)))
-
-    stats = [RunningStat() for _ in range(4)]
-    truncated = False
-    excluded = 0
-    for v, a, b, c_, trunc, excl in run_chunks(one, plan, workers):
-        for stat, arr in zip(stats, (v, a, b, c_)):
-            stat.add_chunk(arr)
-        truncated |= trunc
-        excluded += excl
-    total, hx_mc, hy, ejac = (s.result() for s in stats)
-
-    if exact_hx is not None:
-        h_x, h_x_stderr = float(exact_hx), 0.0
-    else:
-        h_x, h_x_stderr = hx_mc.mean, hx_mc.stderr
-    components = {
-        "h_X_bits": h_x, "h_X_stderr": h_x_stderr,
-        "h_Y_bits": hy.mean, "h_Y_stderr": hy.stderr,
-        "e_logjac_bits": ejac.mean, "e_logjac_stderr": ejac.stderr,
-    }
-    loss_bits = h_x - hy.mean + ejac.mean  # stored identity, exact in floats
-    return LossReport(loss_bits, total.stderr, "corollary1", n, seed,
-                      components=components, truncated=truncated,
-                      excluded_fraction=excluded / n)
+    return estimate(m, d, n, seed, ("corollary1",), tol=tol, k_max=k_max,
+                    chunk_size=chunk_size, workers=workers,
+                    classification=classification)["corollary1"]
 
 
 def loss_branch_posterior(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
@@ -274,17 +470,9 @@ def loss_branch_posterior(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                           classification: Optional[Classification] = None
                           ) -> LossReport:
     """Mean Shannon entropy (bits) of the subdomain posterior at y = g(x)."""
-    _gate(m, d, seed, classification)
-
-    def values(ch: _Chunk) -> np.ndarray:
-        ch.f_y_checked()
-        h = posterior_entropy_bits(ch.table)
-        return np.where(ch.ok, h, 0.0)
-
-    res, truncated, excluded = _run_mc(m, d, n, seed, tol, k_max,
-                                       chunk_size, workers, values)
-    return LossReport(res.mean, res.stderr, "branch_posterior", n, seed,
-                      truncated=truncated, excluded_fraction=excluded)
+    return estimate(m, d, n, seed, ("branch_posterior",), tol=tol,
+                    k_max=k_max, chunk_size=chunk_size, workers=workers,
+                    classification=classification)["branch_posterior"]
 
 
 # --- partition sweep ---------------------------------------------------------
@@ -325,83 +513,33 @@ def partition_sweep(m: PiecewiseMap, d: InputDensity, depths: Sequence[int],
     """Quantized-input loss H(X_hat | Y) on dyadic grids over the support
     box, one entry per depth (2**depth cells per axis).  The sequence is
     nondecreasing in depth and converges to the full loss."""
-    _gate(m, d, seed, classification)
-    depths = [int(v) for v in depths]
-    if any(v < 0 for v in depths):
-        raise ValueError("depths must be nonnegative")
-    lo, hi = d.support.bbox.arrays()
-    span = hi - lo
-    plan = chunk_plan(n, chunk_size)
-
-    def one(c, mlen):
-        ch = _Chunk(m, d, derived_seed(seed, c), mlen, tol, k_max)
-        ch.f_y_checked()
-        t = ch.table
-        per_depth = []
-        for depth in depths:
-            ncells = 1 << depth
-            axes = np.floor((t.x - lo) / span * ncells)
-            axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
-            cell = axes[..., 0]
-            for dd in range(1, m.dim):
-                cell = cell * ncells + axes[..., dd]
-            cell = np.where(t.valid, cell, -1)
-            h = _grouped_entropy_bits(cell, t.weight, t.f_y)
-            per_depth.append(np.where(ch.ok, h, 0.0))
-        return per_depth
-
-    stats = [RunningStat() for _ in depths]
-    for per_depth in run_chunks(one, plan, workers):
-        for stat, vals in zip(stats, per_depth):
-            stat.add_chunk(vals)
-    results = [s.result() for s in stats]
-    return PartitionSweep(tuple(depths),
-                          tuple(r.mean for r in results),
-                          tuple(r.stderr for r in results), n, seed)
+    return estimate(m, d, n, seed, ("sweep",), depths=depths, tol=tol,
+                    k_max=k_max, chunk_size=chunk_size, workers=workers,
+                    classification=classification)["sweep"]
 
 
-# --- corollary-1 building blocks ------------------------------------------------
+# --- single-estimator building blocks -------------------------------------------
 
 def differential_entropy_mc(d: InputDensity, n: int, seed: int,
                             chunk_size: int = CHUNK_SIZE,
-                            workers: int = 1):
+                            workers: int = 1) -> MCResult:
     """Plug-in differential entropy of the input, -E[log2 f_X(X)], in bits."""
-    plan = chunk_plan(n, chunk_size)
-
-    def one(c, mlen):
-        x = d.sample(mlen, derived_seed(seed, c))
-        fx = d.pdf_batch(x)
-        if np.any(fx <= 0.0):
-            i = int(np.argmax(fx <= 0.0))
-            raise ZeroDensityError(x[i])
-        return -np.log2(fx)
-
-    stat = RunningStat()
-    for values in run_chunks(one, plan, workers):
-        stat.add_chunk(values)
-    return stat.result()
+    return _stat(_one_estimator(None, d, n, seed, _neg_log_fx, chunk_size,
+                                workers))
 
 
 def expected_log_jacdet(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
-                        chunk_size: int = CHUNK_SIZE, workers: int = 1):
+                        chunk_size: int = CHUNK_SIZE,
+                        workers: int = 1) -> MCResult:
     """E[log2 |det J(X)|] over x ~ f_X, in bits."""
-    plan = chunk_plan(n, chunk_size)
-    bij = np.array([p.kind == "bijective" for p in m.parts], dtype=bool)
+    return _stat(_one_estimator(m, d, n, seed,
+                                lambda ch: chunk_moments(_log_jac(ch)),
+                                chunk_size, workers))
 
-    def one(c, mlen):
-        x = d.sample(mlen, derived_seed(seed, c))
-        part_idx, k, _ = m.dispatch_batch(x, strict=True)
-        ok = bij[part_idx]
-        v = np.zeros(mlen)
-        if np.any(ok):
-            jac = m.jac_batch(x[ok], part_idx[ok], k[ok])
-            if np.any(~(jac > 0.0)):
-                i = int(np.argmax(~(jac > 0.0)))
-                raise SingularJacobianError(x[ok][i], float(jac[i]))
-            v[ok] = np.log2(jac)
-        return v
 
-    stat = RunningStat()
-    for values in run_chunks(one, plan, workers):
-        stat.add_chunk(values)
-    return stat.result()
+def subdomain_counts(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
+                     chunk_size: int = CHUNK_SIZE,
+                     workers: int = 1) -> dict[int, int]:
+    """Sample count per subdomain code (see ``PiecewiseMap.codes_batch``)."""
+    return _merge_counts(_one_estimator(m, d, n, seed, _code_counts,
+                                        chunk_size, workers))

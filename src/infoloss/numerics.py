@@ -30,6 +30,7 @@ __all__ = [
     "chunk_plan",
     "run_chunks",
     "RunningStat",
+    "chunk_moments",
     "mc_expectation",
     "sample_density",
     "tensor_quadrature",
@@ -69,10 +70,13 @@ class RunningStat:
         self._n = 0
 
     def add_chunk(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=float)
-        self._sums.append(float(np.sum(v)))
-        self._sumsqs.append(float(np.sum(v * v)))
-        self._n += v.size
+        self.add_moments(*chunk_moments(values))
+
+    def add_moments(self, s: float, ss: float, n: int) -> None:
+        """Merge one chunk's ``chunk_moments``."""
+        self._sums.append(s)
+        self._sumsqs.append(ss)
+        self._n += n
 
     def result(self) -> MCResult:
         n = self._n
@@ -87,6 +91,13 @@ class RunningStat:
         else:
             stderr = math.inf
         return MCResult(mean, stderr, n)
+
+
+def chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
+    """(sum, sum of squares, count) of one chunk's values, the part of a
+    chunk that ``RunningStat`` keeps."""
+    v = np.asarray(values, dtype=float)
+    return float(np.sum(v)), float(np.sum(v * v)), v.size
 
 
 def chunk_plan(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:

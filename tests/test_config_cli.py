@@ -15,6 +15,7 @@ from infoloss.config import (
     resolve_config_path,
     triangle_abs_config,
 )
+from infoloss.cli import main as cli_main
 from infoloss.errors import ConfigError
 
 ALL_PRESETS = ["ex1_fold_square", "ex2_square_gaussian", "ex3_exp_sawtooth",
@@ -122,6 +123,27 @@ def test_cli_bad_expression_exit_2(tmp_path):
     res = run_cli("validate", str(p))
     assert res.returncode == 2
     assert "offset" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "ex1_fold_square", "--n", "-5"],
+    ["report", "ex1_fold_square", "--n", "0"],
+    ["validate", "ex1_fold_square", "--n", "0"],
+    ["report", "ex1_fold_square", "--workers", "-3"],
+    ["report", "ex1_fold_square", "--workers", "0"],
+    ["loss", "ex1_fold_square", "--method", "eq5_quadrature", "--nodes", "0"],
+    ["report", "ex1_fold_square", "--depths", "3:x"],
+    ["sweep", "ex1_fold_square", "--depths", "1,,2"],
+    ["sweep", "ex1_fold_square", "--depths=-1:2"],
+    ["sweep", "ex1_fold_square", "--depths", "2,-3"],
+], ids=["n_negative", "n_zero", "validate_n_zero", "workers_negative",
+        "workers_zero", "nodes_zero", "depths_unparsable_range",
+        "depths_unparsable_list", "depths_negative_range",
+        "depths_negative_list"])
+def test_cli_bad_numeric_argument_exit_2(argv, capsys):
+    # rejected as a config error before any sampling starts
+    assert cli_main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_loss_identity():

@@ -10,6 +10,7 @@ from infoloss.geometry import Box
 from infoloss.numerics import (
     MCResult,
     RunningStat,
+    chunk_moments,
     chunk_plan,
     derived_seed,
     exponential_sample,
@@ -132,3 +133,14 @@ def test_quadrature_integrable_singularity():
     assert abs(fine - 1.0) < 1e-3
     assert abs(coarse - 1.0) < 0.03
     assert abs(fine - 1.0) < abs(coarse - 1.0)
+
+
+def test_running_stat_merges_chunk_moments_exactly():
+    rng = np.random.default_rng(1)
+    chunks = [rng.normal(size=n) for n in (100, 37, 1)]
+    a, b = RunningStat(), RunningStat()
+    for c in chunks:
+        a.add_chunk(c)
+        b.add_moments(*chunk_moments(c))
+    assert a.result() == b.result()
+    assert b.result().n == 138
