@@ -14,7 +14,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .numerics import make_generator
+from .numerics import make_generator, row_all
 
 __all__ = ["Box", "Region", "box_volume", "sample_uniform"]
 
@@ -41,7 +41,7 @@ class Box:
     def contains_points(self, x: np.ndarray) -> np.ndarray:
         lo, hi = self.arrays()
         x = np.atleast_2d(x)
-        return np.all((x >= lo) & (x <= hi), axis=1)
+        return row_all((x >= lo) & (x <= hi))
 
 
 def box_volume(b: Box) -> float:

@@ -242,11 +242,11 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
-    span = hi - lo
+    u = (t.x - lo) / (hi - lo)
     per_depth = []
     for depth in depths:
         ncells = 1 << depth
-        axes = np.floor((t.x - lo) / span * ncells)
+        axes = np.floor(u * ncells)
         axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
         cell = axes[..., 0]
         for dd in range(1, ch.m.dim):
@@ -477,30 +477,60 @@ def loss_branch_posterior(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
 
 # --- partition sweep ---------------------------------------------------------
 
+def _accumulate_rows(op, a: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """``op.accumulate(a, axis=0)`` in place (from the last row up with
+    ``reverse``), as one full-width ``op`` call per row.  Each step is the
+    accumulate's own ``op(previous result, current row)``, so the bits
+    are the same, without its strided walk down every column."""
+    step = 1 if reverse else -1
+    rows = range(a.shape[0] - 2, -1, -1) if reverse else range(1, a.shape[0])
+    for s in rows:
+        op(a[s + step], a[s], out=a[s])
+    return a
+
+
 def _grouped_entropy_bits(cells: np.ndarray, w: np.ndarray,
                           f_y: np.ndarray) -> np.ndarray:
     """Entropy per row of posterior weights aggregated over equal cells.
 
     cells: (S, m) int codes (-1 for invalid slots, whose weight is 0);
     w: (S, m) unnormalized weights; f_y: (m,) their column sums.
+
+    Arithmetic contract, which the report's bytes depend on and any
+    other kernel must keep: the slots of each column are taken in their
+    stable sort order by cell; the normalized weights are summed down
+    that order one slot at a time; a cell's weight is the running sum at
+    its run's end (filled up the run by a running minimum) minus
+    (running sum minus weight) at its run's start (filled down the run by
+    a running maximum); the entropy terms are summed over slots in sorted
+    order, one slot at a time.  Grouping by ``bincount``, ``np.unique``,
+    a flat composite key or a pairwise sum rounds differently.
     """
     if cells.shape[0] == 0:
         return np.zeros(cells.shape[1])
     wn = w / np.maximum(f_y, 1e-300)
-    order = np.argsort(cells, axis=0, kind="stable")
-    c = np.take_along_axis(cells, order, axis=0)
-    ww = np.take_along_axis(wn, order, axis=0)
-    csum = np.cumsum(ww, axis=0)
-    m_ = cells.shape[1]
-    start = np.vstack([np.ones((1, m_), dtype=bool), c[1:] != c[:-1]])
-    end = np.vstack([c[1:] != c[:-1], np.ones((1, m_), dtype=bool)])
+    if np.all(cells[1:] >= cells[:-1]):
+        # every column in order: the stable sort order is the identity
+        c, ww = cells, wn
+    else:
+        order = np.argsort(cells, axis=0, kind="stable")
+        c = np.take_along_axis(cells, order, axis=0)
+        ww = np.take_along_axis(wn, order, axis=0)
+    same = c[1:] == c[:-1]  # row s + 1 continues the run of row s
+    csum = _accumulate_rows(np.add, ww.copy())
     # cumulative sum just before each run, forward-filled down the run
-    base = np.maximum.accumulate(np.where(start, csum - ww, -np.inf), axis=0)
-    # cumulative sum at each run's end, backward-filled up the run
-    total_at_end = np.minimum.accumulate(
-        np.where(end, csum, np.inf)[::-1], axis=0)[::-1]
-    group = total_at_end - base
-    contrib = np.where(ww > 0.0, ww * np.log2(np.maximum(group, 1e-300)), 0.0)
+    base = csum - ww
+    np.copyto(base[1:], -np.inf, where=same)
+    _accumulate_rows(np.maximum, base)
+    # cumulative sum at each run's end, backward-filled up the run (in the
+    # running sum's own buffer, which then holds the group weights)
+    np.copyto(csum[:-1], np.inf, where=same)
+    group = _accumulate_rows(np.minimum, csum, reverse=True)
+    group -= base
+    # the entropy terms ww * log2(group), 0 where ww is not positive
+    contrib = np.log2(np.maximum(group, 1e-300, out=group), out=group)
+    np.multiply(ww, contrib, out=contrib)
+    np.copyto(contrib, 0.0, where=~(ww > 0.0))
     return -contrib.sum(axis=0)
 
 

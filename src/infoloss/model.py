@@ -34,6 +34,7 @@ from .numerics import (
     gaussian_iid_sample,
     make_generator,
     rejection_sample,
+    row_max,
     tensor_quadrature,
     uniform_box_sample,
 )
@@ -226,7 +227,7 @@ class PiecewiseMap:
                      k: np.ndarray | None) -> np.ndarray:
         """Central-difference Jacobian matrices (n, N, N) for one part."""
         n, dim = x.shape
-        hs = 1e-5 * np.maximum(1.0, np.max(np.abs(x), axis=1))
+        hs = 1e-5 * np.maximum(1.0, row_max(np.abs(x)))
         mat = np.empty((n, dim, dim))
         for j in range(dim):
             for s in (1.0, -1.0):
@@ -558,8 +559,8 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
             x_back = np.column_stack([
                 np.broadcast_to(eval_array(inv, binding), (n_in,))
                 for inv in p.inverse])
-            rel = np.max(np.abs(x_back - xb), axis=1) / (
-                1.0 + np.max(np.abs(xb), axis=1))
+            rel = row_max(np.abs(x_back - xb)) / (
+                1.0 + row_max(np.abs(xb)))
             rep["inverse_max_rel_err"] = float(np.max(rel))
             if rep["inverse_max_rel_err"] > INV_REL_TOL:
                 failures.append(

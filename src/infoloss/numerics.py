@@ -31,6 +31,8 @@ __all__ = [
     "run_chunks",
     "RunningStat",
     "chunk_moments",
+    "row_max",
+    "row_all",
     "mc_expectation",
     "sample_density",
     "tensor_quadrature",
@@ -98,6 +100,30 @@ def chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
     chunk that ``RunningStat`` keeps."""
     v = np.asarray(values, dtype=float)
     return float(np.sum(v)), float(np.sum(v * v)), v.size
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``np.max(a, axis=1)`` of an (m, N) array, as a fold of
+    ``np.maximum`` over the N columns.
+
+    The row-wise reduction walks each short row on its own; the fold
+    makes one full-length elementwise call per column.  The maximum is
+    exact and NaN propagates through both, so the values are the same.
+    The result is a new array, never a view of ``a``.
+    """
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def row_all(a: np.ndarray) -> np.ndarray:
+    """``np.all(a, axis=1)`` of an (m, N) array, as a fold of logical and
+    over the N columns (see ``row_max``).  The result is a new array."""
+    out = a[:, 0].astype(bool)
+    for j in range(1, a.shape[1]):
+        np.logical_and(out, a[:, j], out=out)
+    return out
 
 
 def chunk_plan(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:

@@ -40,6 +40,7 @@ from .model import (
     PartRef,
     PiecewiseMap,
 )
+from .numerics import row_all, row_max
 
 __all__ = [
     "PreimageElement",
@@ -113,7 +114,7 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
     xc = np.column_stack([
         np.broadcast_to(eval_array(inv, binding), (rows,))
         for inv in p.inverse]).astype(float)
-    finite = np.all(np.isfinite(xc), axis=1)
+    finite = row_all(np.isfinite(xc))
     xc = np.where(finite[:, None], xc, 0.0)
 
     if isinstance(p, BranchFamily):
@@ -130,9 +131,9 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
         np.broadcast_to(eval_array(fe, xbind), (rows,))
         for fe in p.forward])
     with np.errstate(invalid="ignore"):
-        maps_back = np.max(np.abs(y_back - y), axis=1) <= tol * (
-            1.0 + np.max(np.abs(y), axis=1))
-        maps_back &= np.all(np.isfinite(y_back), axis=1)
+        maps_back = row_max(np.abs(y_back - y)) <= tol * (
+            1.0 + row_max(np.abs(y)))
+        maps_back &= row_all(np.isfinite(y_back))
 
     valid = finite & in_region & (fx > 0.0) & maps_back
     jac = m.part_jac(part_index, xc, karr)
@@ -232,8 +233,8 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
             both = valid[a] & valid[b]
             if not np.any(both):
                 continue
-            close = np.max(np.abs(x[a] - x[b]), axis=1) <= tol * (
-                1.0 + np.max(np.abs(x[a]), axis=1))
+            close = row_max(np.abs(x[a] - x[b])) <= tol * (
+                1.0 + row_max(np.abs(x[a])))
             dup = both & close
             valid[b] &= ~dup
             weight[b] = np.where(dup, 0.0, weight[b])

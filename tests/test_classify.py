@@ -1,10 +1,15 @@
 """Finite/Infinite classification and the atom scan."""
 
+import importlib
 import math
 
 import pytest
 
+from infoloss import cli
 from infoloss.classify import atom_scan, classify
+
+# the package's ``classify`` attribute is the function, not the module
+classify_module = importlib.import_module("infoloss.classify")
 
 GAUSSIAN_TAIL_AT_1 = 0.15865525393145707  # frozen from scipy.stats.norm.sf(1)
 
@@ -70,3 +75,27 @@ def test_atom_masses_sum_to_constant_part_mass(setups):
     stderr = math.sqrt(sum(e["stderr"] ** 2 for e in c.evidence))
     assert sum(mass for _, mass in atoms) == pytest.approx(
         const_mass, abs=3 * stderr + 1e-12)
+
+
+def test_atom_scan_reads_the_sample_of_the_preceding_classify(setups,
+                                                             monkeypatch):
+    setup = setups["limiter_gaussian"]
+    m, d = setup.pmap, setup.density
+    fresh = atom_scan(m, d, 20_000, 3)
+    draws = []
+    real = classify_module._part_masses
+    monkeypatch.setattr(classify_module, "_part_masses",
+                        lambda *args: draws.append(args) or real(*args))
+    classify(m, d, 20_000, 3)
+    assert atom_scan(m, d, 20_000, 3) == fresh
+    assert len(draws) == 1
+    # the hand-off is taken once: a second scan draws its own sample
+    assert atom_scan(m, d, 20_000, 3) == fresh
+    assert len(draws) == 2
+    classify(m, d, 20_000, 3)
+    assert atom_scan(m, d, 20_000, 4) != fresh  # another seed: own draw
+    assert len(draws) == 4
+    draws.clear()
+    rep = cli.build_report(setup, 20_000, 3, 8, setup.analysis.depths, 1)
+    assert len(draws) == 1
+    assert rep["atoms"] == [{"y": list(y), "mass": mass} for y, mass in fresh]
