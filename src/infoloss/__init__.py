@@ -16,7 +16,7 @@ Typical use::
     print(report.loss_bits)
 """
 
-from .bounds import BoundsReport, bounds_report, entropy_W
+from .bounds import BoundsReport, bounds_report
 from .classify import Classification, atom_scan, classify
 from .config import (
     AnalysisParams,
@@ -51,7 +51,7 @@ from .exprlang import (
     substitute,
     to_string,
 )
-from .geometry import Box, Region, box_volume, sample_uniform
+from .geometry import Box, Region, box_volume
 from .loss import (
     LossReport,
     PartitionSweep,
@@ -76,7 +76,7 @@ from .model import (
     postcompose_affine,
     validate,
 )
-from .numerics import MCResult, mc_expectation, sample_density, tensor_quadrature
+from .numerics import MCResult, tensor_quadrature
 from .transform import (
     BranchPosterior,
     PreimageElement,

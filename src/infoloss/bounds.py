@@ -24,9 +24,9 @@ import numpy as np
 
 from .classify import Classification, classify
 from .errors import InfiniteLossError
-from .loss import CardinalityTally, estimate, subdomain_counts
+from .loss import CardinalityTally, estimate
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
-from .numerics import CHUNK_SIZE, MCResult, derived_seed, run_chunks  # noqa: F401
+from .numerics import CHUNK_SIZE, derived_seed, run_chunks  # noqa: F401
 from .transform import DEFAULT_TOL, build_candidates  # noqa: F401
 
 # The chunk work runs in ``loss.estimate``.  run_chunks and
@@ -34,7 +34,7 @@ from .transform import DEFAULT_TOL, build_candidates  # noqa: F401
 # (perfbench/tracer.py) rebinds them in every importing module and its
 # tests expect them in this one.
 
-__all__ = ["BoundsReport", "bounds_report", "entropy_W"]
+__all__ = ["BoundsReport", "bounds_report"]
 
 _CLASSIFY_N = 100_000
 
@@ -113,11 +113,3 @@ def bounds_report(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                      classification=classification)["bounds"]
     return BoundsReport.from_tally(m, tally, n, seed)
 
-
-def entropy_W(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
-              chunk_size: int = CHUNK_SIZE, workers: int = 1) -> MCResult:
-    """Plug-in entropy (bits) of the subdomain index of x ~ f_X, with the
-    delta-method standard error."""
-    h, stderr = _plugin_entropy(
-        subdomain_counts(m, d, n, seed, chunk_size, workers), n)
-    return MCResult(h, stderr, n)

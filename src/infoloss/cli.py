@@ -27,8 +27,10 @@ from .bounds import BoundsReport, bounds_report
 from .classify import atom_scan, classify
 from .config import (
     ModelSetup,
+    at_least_one,
     list_presets,
     load_config_file,
+    nonnegative_depths,
     preset_dir,
     resolve_config_path,
 )
@@ -54,18 +56,12 @@ def _load(args) -> ModelSetup:
     return load_config_file(resolve_config_path(args.config))
 
 
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {value}")
-    return value
-
-
 def _analysis_overrides(setup: ModelSetup, args):
     a = setup.analysis
 
     def given(flag, default):
         value = getattr(args, flag, None)
-        return default if value is None else _at_least_one(f"--{flag}", value)
+        return default if value is None else at_least_one(f"--{flag}", value)
 
     n = given("n", a.n)
     seed = args.seed if getattr(args, "seed", None) is not None else a.seed
@@ -87,14 +83,12 @@ def _parse_depths(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ConfigError(f"--depths wants A:B or a comma list of integers, "
                           f"got {text!r}") from None
-    if any(v < 0 for v in depths):
-        raise ConfigError(f"--depths must be nonnegative, got {text!r}")
-    return depths
+    return nonnegative_depths("--depths", depths)
 
 
 def cmd_validate(args) -> int:
     setup = _load(args)
-    n_probe = 10_000 if args.n is None else _at_least_one("--n", args.n)
+    n_probe = 10_000 if args.n is None else at_least_one("--n", args.n)
     report = validate(setup.pmap, setup.density, n_probe=n_probe,
                       seed=args.seed if args.seed is not None else setup.analysis.seed)
     _emit(report.to_dict())

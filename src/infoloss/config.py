@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,38 @@ def _fail(where: str, msg: str) -> ConfigError:
     return ConfigError(f"{where}: {msg}")
 
 
+def at_least_one(where: str, value: int) -> int:
+    """``value`` if it is at least 1, else a ConfigError naming ``where``."""
+    if value < 1:
+        raise ConfigError(f"{where} must be at least 1, got {value}")
+    return value
+
+
+def nonnegative_depths(where: str, depths: tuple[int, ...]) -> tuple[int, ...]:
+    """``depths`` if no depth is negative, else a ConfigError naming ``where``."""
+    if any(v < 0 for v in depths):
+        raise ConfigError(f"{where} must be nonnegative, got {list(depths)}")
+    return depths
+
+
+def _real(value, where: str) -> float:
+    """A finite JSON number (booleans excluded) as a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise _fail(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if not _real(value, where).is_integer():
+        raise _fail(where, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _names(prefix: str, dim: int) -> set[str]:
+    return {f"{prefix}{i + 1}" for i in range(dim)}
+
+
 def _parse_expr(text, where: str, allowed: set[str]) -> Expr:
     if not isinstance(text, str):
         raise _fail(where, f"expected an expression string, got {type(text).__name__}")
@@ -81,19 +114,21 @@ def _box(obj, dim: int, where: str) -> Box:
     if (not isinstance(obj, list) or len(obj) != dim
             or not all(isinstance(p, list) and len(p) == 2 for p in obj)):
         raise _fail(where, f"bbox must be {dim} [lo, hi] pairs")
+    lo = tuple(_real(p[0], where) for p in obj)
+    hi = tuple(_real(p[1], where) for p in obj)
     try:
-        return Box(tuple(float(p[0]) for p in obj),
-                   tuple(float(p[1]) for p in obj))
-    except (TypeError, ValueError) as err:
+        return Box(lo, hi)
+    except ValueError as err:
         raise _fail(where, str(err)) from err
 
 
 def _region(obj, dim: int, where: str, extra_vars: set[str] = frozenset()) -> Region:
     if not isinstance(obj, dict) or "predicate" not in obj or "bbox" not in obj:
         raise _fail(where, "region needs 'predicate' and 'bbox'")
-    allowed = {f"x{i + 1}" for i in range(dim)} | set(extra_vars)
-    pred = _parse_expr(obj["predicate"], f"{where}.predicate", allowed)
-    return Region(pred, _box(obj["bbox"], dim, f"{where}.bbox"))
+    bbox = _box(obj["bbox"], dim, f"{where}.bbox")
+    allowed = _names("x", dim) | set(extra_vars)
+    return Region(_parse_expr(obj["predicate"], f"{where}.predicate", allowed),
+                  bbox)
 
 
 def _exprs(obj, dim: int, where: str, allowed: set[str]) -> tuple[Expr, ...]:
@@ -125,7 +160,14 @@ def _density(obj, dim: int) -> InputDensity:
     if form not in ("uniform_box", "uniform_region", "gaussian_iid",
                     "exponential", "expression"):
         raise _fail("density.form", f"unknown form {form!r}")
-    params = dict(obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise _fail("density.params", "expected an object")
+    params = dict(params)
+    for key in ("mu", "sigma", "lambda", "volume"):
+        v = _real(params.get(key, 1.0), f"density.params.{key}")
+        if v <= 0 and key != "mu":
+            raise _fail(f"density.params.{key}", "must be positive")
     support_obj = obj.get("support") or _default_support(form, params, dim)
     support = _region(support_obj, dim, "density.support")
 
@@ -134,9 +176,8 @@ def _density(obj, dim: int) -> InputDensity:
     if form == "expression":
         if "pdf" not in obj or "pdf_bound" not in obj:
             raise _fail("density", "expression form needs 'pdf' and 'pdf_bound'")
-        allowed = {f"x{i + 1}" for i in range(dim)}
-        pdf_expr = _parse_expr(obj["pdf"], "density.pdf", allowed)
-        pdf_bound = float(obj["pdf_bound"])
+        pdf_expr = _parse_expr(obj["pdf"], "density.pdf", _names("x", dim))
+        pdf_bound = _real(obj["pdf_bound"], "density.pdf_bound")
         if pdf_bound <= 0:
             raise _fail("density.pdf_bound", "must be positive")
     if form == "exponential" and "lambda" not in params:
@@ -155,7 +196,8 @@ def _density(obj, dim: int) -> InputDensity:
     exact = obj.get("exact_diffent_bits")
     return InputDensity(dim=dim, form=form, support=support, params=params,
                         pdf_expr=pdf_expr, pdf_bound=pdf_bound,
-                        exact_diffent_bits=None if exact is None else float(exact))
+                        exact_diffent_bits=None if exact is None else _real(
+                            exact, "density.exact_diffent_bits"))
 
 
 def _part(obj, dim: int, idx: int):
@@ -164,11 +206,13 @@ def _part(obj, dim: int, idx: int):
         raise _fail(where, "expected an object")
     ptype = obj.get("type", "branch")
     name = obj.get("name", f"part{idx}")
-    xvars = {f"x{i + 1}" for i in range(dim)}
-    yvars = {f"y{i + 1}" for i in range(dim)}
+    if not isinstance(name, str):
+        raise _fail(f"{where}.name", f"expected a string, got {type(name).__name__}")
+    # the bbox is checked before the dim-sized name sets: a huge dim fails fast
     if ptype == "branch":
         kind = obj.get("kind", "bijective")
         region = _region(obj.get("region"), dim, f"{where}.region")
+        xvars, yvars = _names("x", dim), _names("y", dim)
         forward = _exprs(obj.get("forward"), dim, f"{where}.forward", xvars)
         inverse = None
         if "inverse" in obj:
@@ -192,12 +236,13 @@ def _part(obj, dim: int, idx: int):
         k_lo, k_hi = kr
         if k_hi is not None and k_hi < k_lo:
             raise _fail(f"{where}.k_range", "k_hi < k_lo")
+        bbox = _box(obj.get("bbox"), dim, f"{where}.bbox")
+        xvars = _names("x", dim)
         xk = xvars | {"k"}
-        yk = yvars | {"k"}
+        yk = _names("y", dim) | {"k"}
         index_of = _parse_expr(obj.get("index_of"), f"{where}.index_of", xvars)
         region_of_k = _parse_expr(obj.get("region_of_k"),
                                   f"{where}.region_of_k", xk)
-        bbox = _box(obj.get("bbox"), dim, f"{where}.bbox")
         forward = _exprs(obj.get("forward"), dim, f"{where}.forward", xk)
         inverse = _exprs(obj.get("inverse"), dim, f"{where}.inverse", yk)
         jac = None
@@ -213,14 +258,26 @@ def _analysis(obj) -> AnalysisParams:
         return AnalysisParams()
     if not isinstance(obj, dict):
         raise _fail("analysis", "expected an object")
-    depths = obj.get("depths", AnalysisParams.depths)
+
+    def integer(key: str) -> int:
+        return _integer(obj.get(key, getattr(AnalysisParams, key)),
+                        f"analysis.{key}")
+
+    depths = obj.get("depths", list(AnalysisParams.depths))
+    if not isinstance(depths, list):
+        raise _fail("analysis.depths", "expected a list of integers")
+    tol = _real(obj.get("tol", AnalysisParams.tol), "analysis.tol")
+    if tol < 0:
+        raise _fail("analysis.tol", f"must be nonnegative, got {tol!r}")
     return AnalysisParams(
-        n=int(obj.get("n", AnalysisParams.n)),
-        seed=int(obj.get("seed", AnalysisParams.seed)),
-        nodes_per_dim=int(obj.get("nodes_per_dim", AnalysisParams.nodes_per_dim)),
-        depths=tuple(int(v) for v in depths),
-        k_max=int(obj.get("k_max", AnalysisParams.k_max)),
-        tol=float(obj.get("tol", AnalysisParams.tol)),
+        n=at_least_one("analysis.n", integer("n")),
+        seed=integer("seed"),
+        nodes_per_dim=at_least_one("analysis.nodes_per_dim",
+                                   integer("nodes_per_dim")),
+        depths=nonnegative_depths("analysis.depths", tuple(
+            _integer(v, "analysis.depths") for v in depths)),
+        k_max=at_least_one("analysis.k_max", integer("k_max")),
+        tol=tol,
     )
 
 
@@ -230,11 +287,12 @@ def load_config(doc: dict, name_hint: str = "") -> ModelSetup:
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise _fail("dim", "must be a positive integer")
-    density = _density(doc.get("density"), dim)
+    # parts first: their bboxes pin dim before a default support is built
     parts_obj = doc.get("parts")
     if not isinstance(parts_obj, list) or not parts_obj:
         raise _fail("parts", "expected a nonempty list")
     parts = tuple(_part(p, dim, i) for i, p in enumerate(parts_obj))
+    density = _density(doc.get("density"), dim)
     try:
         pmap = PiecewiseMap(dim, parts)
     except ValueError as err:

@@ -1,10 +1,13 @@
 """Small expression language for regions, maps, Jacobians and densities.
 
 Expressions are plain text like ``"abs(x1 - x2)"`` or
-``"1.5*exp(-1.5*x1)"``.  They parse to an immutable AST which can be
-evaluated either on scalar bindings (strict: domain violations raise
-:class:`EvalError`) or on numpy-array bindings (vectorized: domain
-violations yield NaN so callers can mask them out).
+``"1.5*exp(-1.5*x1)"``.  They parse to an immutable AST, which one
+tree walk evaluates with numpy's IEEE rules.  ``eval_array`` runs it on
+array bindings, where domain violations yield NaN/inf so callers can
+mask them out; ``evaluate`` runs it on a scalar binding in strict mode,
+where the declared singularities (division by zero, sqrt of a negative,
+log of a non-positive, a negative base to a fractional power, zero to a
+negative power) raise :class:`EvalError` instead.
 
 Grammar, loosest to tightest binding:
 
@@ -309,9 +312,15 @@ def parse(text: str) -> Expr:
     """Parse ``text`` to an AST.
 
     Raises :class:`ExprSyntaxError` (with byte offset and expected tokens)
-    or :class:`UnknownFunctionError`.
+    or :class:`UnknownFunctionError`; nesting deeper than the interpreter's
+    recursion limit is an :class:`ExprSyntaxError` too.
     """
-    return _Parser(text).parse()
+    p = _Parser(text)
+    try:
+        return p.parse()
+    except RecursionError:
+        off = p.toks[min(p.pos, len(p.toks) - 1)][2]
+        raise ExprSyntaxError(off, "expression nests too deeply") from None
 
 
 # --- printing (fully parenthesized, so round-trips are structural) ----------
@@ -365,106 +374,7 @@ def substitute(e: Expr, repl: dict[str, Expr]) -> Expr:
     return e
 
 
-# --- strict scalar evaluation ------------------------------------------------
-
-def evaluate(e: Expr, binding: dict[str, float]) -> float:
-    """Evaluate on a scalar binding.  Deterministic and total except at the
-    declared singularities, which raise :class:`EvalError`; missing
-    variables raise :class:`UnboundVariableError`.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Var):
-        try:
-            return float(binding[e.name])
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    if isinstance(e, Unary):
-        a = evaluate(e.a, binding)
-        op = e.op
-        if op == "neg":
-            return -a
-        if op == "not":
-            return 0.0 if a != 0.0 else 1.0
-        if op == "abs":
-            return abs(a)
-        if op == "sqrt":
-            if a < 0.0:
-                raise EvalError("sqrt_neg", to_string(e))
-            return math.sqrt(a)
-        if op == "exp":
-            try:
-                return math.exp(a)
-            except OverflowError:
-                return math.inf
-        if op == "ln":
-            if a <= 0.0:
-                raise EvalError("log_nonpos", to_string(e))
-            return math.log(a)
-        if op == "log2":
-            if a <= 0.0:
-                raise EvalError("log_nonpos", to_string(e))
-            return math.log2(a)
-        if op == "floor":
-            return float(math.floor(a))
-        if op == "sign":
-            return float((a > 0) - (a < 0))
-        if op == "arctan":
-            return math.atan(a)
-        if op == "sin":
-            return math.sin(a)
-        if op == "cos":
-            return math.cos(a)
-        raise ValueError(f"bad unary op {op!r}")
-    if isinstance(e, Binary):
-        a = evaluate(e.a, binding)
-        b = evaluate(e.b, binding)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvalError("div_zero", to_string(e))
-            return a / b
-        if op == "^":
-            # negative base with non-integer exponent would go complex
-            if a < 0.0 and b != math.floor(b):
-                raise EvalError("pow_domain", to_string(e))
-            if a == 0.0 and b < 0.0:
-                raise EvalError("div_zero", to_string(e))
-            try:
-                return a ** b
-            except OverflowError:  # IEEE semantics, not a declared singularity
-                return -math.inf if (a < 0.0 and b % 2.0 == 1.0) else math.inf
-        if op == "min":
-            return min(a, b)
-        if op == "max":
-            return max(a, b)
-        if op == "atan2":
-            return math.atan2(a, b)
-        if op == "<":
-            return 1.0 if a < b else 0.0
-        if op == "<=":
-            return 1.0 if a <= b else 0.0
-        if op == ">":
-            return 1.0 if a > b else 0.0
-        if op == ">=":
-            return 1.0 if a >= b else 0.0
-        if op == "and":
-            return 1.0 if (a != 0.0 and b != 0.0) else 0.0
-        if op == "or":
-            return 1.0 if (a != 0.0 or b != 0.0) else 0.0
-        raise ValueError(f"bad binary op {op!r}")
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-# --- vectorized evaluation ----------------------------------------------------
+# --- evaluation ------------------------------------------------------------
 
 _UNARY_NP = {
     "neg": np.negative,
@@ -491,6 +401,22 @@ _BINARY_NP = {
     "atan2": np.arctan2,
 }
 
+_COMPARE_NP = {
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def evaluate(e: Expr, binding: dict[str, float]) -> float:
+    """Evaluate on a scalar binding in strict mode: the rules of
+    :func:`eval_array`, except that the declared singularities (see the
+    module docstring) raise :class:`EvalError`.  Missing variables raise
+    :class:`UnboundVariableError`."""
+    with np.errstate(all="ignore"):
+        return float(_eval(e, {k: float(v) for k, v in binding.items()}, True))
+
 
 def eval_array(e: Expr, binding: dict[str, np.ndarray | float]):
     """Vectorized evaluation over numpy arrays (broadcasting applies).
@@ -501,10 +427,26 @@ def eval_array(e: Expr, binding: dict[str, np.ndarray | float]):
     raise :class:`UnboundVariableError`.
     """
     with np.errstate(all="ignore"):
-        return _eval_array(e, binding)
+        return _eval(e, binding, False)
 
 
-def _eval_array(e: Expr, binding):
+def _singular(op: str, a, b=None) -> str | None:
+    """The declared singularity that ``op`` hits at scalar operands, if any."""
+    if op == "sqrt" and a < 0.0:
+        return "sqrt_neg"
+    if op in ("ln", "log2") and a <= 0.0:
+        return "log_nonpos"
+    if (op == "/" and b == 0.0) or (op == "^" and a == 0.0 and b < 0.0):
+        return "div_zero"
+    if op == "^" and a < 0.0 and b != np.floor(b):
+        return "pow_domain"
+    return None
+
+
+def _eval(e: Expr, binding, strict: bool):
+    """The one tree walk behind :func:`evaluate` and :func:`eval_array`;
+    ``strict`` checks each node's operands for a declared singularity
+    (post-order, left operand first)."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Const):
@@ -515,24 +457,22 @@ def _eval_array(e: Expr, binding):
         except KeyError:
             raise UnboundVariableError(e.name) from None
     if isinstance(e, Unary):
-        a = _eval_array(e.a, binding)
+        a = _eval(e.a, binding, strict)
+        if strict and (kind := _singular(e.op, a)):
+            raise EvalError(kind, to_string(e))
         if e.op == "not":
             return np.where(np.asarray(a) != 0.0, 0.0, 1.0)
         return _UNARY_NP[e.op](a)
     if isinstance(e, Binary):
-        a = _eval_array(e.a, binding)
-        b = _eval_array(e.b, binding)
+        a = _eval(e.a, binding, strict)
+        b = _eval(e.b, binding, strict)
         op = e.op
+        if strict and (kind := _singular(op, a, b)):
+            raise EvalError(kind, to_string(e))
         if op in _BINARY_NP:
             return _BINARY_NP[op](a, b)
-        if op == "<":
-            return np.less(a, b).astype(float)
-        if op == "<=":
-            return np.less_equal(a, b).astype(float)
-        if op == ">":
-            return np.greater(a, b).astype(float)
-        if op == ">=":
-            return np.greater_equal(a, b).astype(float)
+        if op in _COMPARE_NP:
+            return _COMPARE_NP[op](a, b).astype(float)
         if op == "and":
             return ((np.asarray(a) != 0.0) & (np.asarray(b) != 0.0)).astype(float)
         if op == "or":

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .numerics import make_generator, row_all
+from .numerics import row_all
 
-__all__ = ["Box", "Region", "box_volume", "sample_uniform"]
+__all__ = ["Box", "Region", "box_volume"]
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,6 @@ def box_volume(b: Box) -> float:
     return float(np.prod(hi - lo))
 
 
-def sample_uniform(b: Box, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. uniform points on the box, reproducible for a fixed seed."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    lo, hi = b.arrays()
-    rng = make_generator(seed)
-    return lo + rng.random((n, b.dim)) * (hi - lo)
-
-
 @dataclass(frozen=True)
 class Region:
     """Membership predicate over x1..xN plus an enclosing box.
@@ -71,10 +62,7 @@ class Region:
     extra_binding: dict = field(default_factory=dict, compare=False)
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        binding = {f"x{d + 1}": float(x[d]) for d in range(x.size)}
-        binding.update(self.extra_binding)
-        return exprlang.evaluate(self.predicate, binding) != 0.0
+        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
     def contains_batch(self, x: np.ndarray,
                        extra: dict | None = None) -> np.ndarray:
@@ -84,7 +72,3 @@ class Region:
         if extra:
             binding.update(extra)
         return np.asarray(exprlang.eval_array(self.predicate, binding)) != 0.0
-
-
-def contains(r: Region, x) -> bool:
-    return r.contains(x)

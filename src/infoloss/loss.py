@@ -67,7 +67,6 @@ __all__ = [
     "partition_sweep",
     "differential_entropy_mc",
     "expected_log_jacdet",
-    "subdomain_counts",
 ]
 
 _CLASSIFY_N = 100_000
@@ -566,10 +565,3 @@ def expected_log_jacdet(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                                 lambda ch: chunk_moments(_log_jac(ch)),
                                 chunk_size, workers))
 
-
-def subdomain_counts(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
-                     chunk_size: int = CHUNK_SIZE,
-                     workers: int = 1) -> dict[int, int]:
-    """Sample count per subdomain code (see ``PiecewiseMap.codes_batch``)."""
-    return _merge_counts(_one_estimator(m, d, n, seed, _code_counts,
-                                        chunk_size, workers))

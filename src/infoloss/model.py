@@ -275,11 +275,6 @@ class PiecewiseMap:
             out[rows] = self.part_jac(i, x[rows], kk)
         return out
 
-    def fd_jacobian_matrices(self, part_index: int, x: np.ndarray,
-                             k: np.ndarray | None = None) -> np.ndarray:
-        return self._fd_matrices(self.parts[part_index],
-                                 np.atleast_2d(np.asarray(x, dtype=float)), k)
-
 
 # --- spec-level scalar operations ----------------------------------------------
 
@@ -298,41 +293,18 @@ def forward_eval(m: PiecewiseMap, x) -> np.ndarray:
     return m.forward_batch(xa, part_idx, k)[0]
 
 
-def jac_abs_det_at(m: PiecewiseMap, x, h: float | None = None) -> float:
-    """|det J| at x: the user expression when present, else central
-    differences with step ``h`` (default 1e-5 * max(1, |x|_inf))."""
+def jac_abs_det_at(m: PiecewiseMap, x) -> float:
+    """|det J| at x as ``part_jac`` computes it (the part's expression, else
+    central differences); NaN or a value below ``JAC_SINGULAR_TOL`` raises
+    :class:`SingularJacobianError`."""
     xa = np.asarray(x, dtype=float).reshape(1, -1)
     part_idx, k, _ = m.dispatch_batch(xa, strict=True)
     i = int(part_idx[0])
-    p = m.parts[i]
-    if p.jac_abs_det is not None:
-        binding = {f"x{d + 1}": float(xa[0, d]) for d in range(m.dim)}
-        if isinstance(p, BranchFamily):
-            binding["k"] = float(k[0])
-        val = abs(exprlang.evaluate(p.jac_abs_det, binding))
-    else:
-        if h is None:
-            h = 1e-5 * max(1.0, float(np.max(np.abs(xa))))
-        dim = m.dim
-        mat = np.empty((dim, dim))
-        for j in range(dim):
-            for s in (1.0, -1.0):
-                xs = xa.copy()
-                xs[0, j] += s * h
-                binding = {f"x{d + 1}": float(xs[0, d]) for d in range(dim)}
-                if isinstance(p, BranchFamily):
-                    binding["k"] = float(k[0])
-                for r, fe in enumerate(p.forward):
-                    v = exprlang.evaluate(fe, binding)
-                    if s > 0:
-                        mat[r, j] = v
-                    else:
-                        mat[r, j] -= v
-        mat /= 2.0 * h
-        val = abs(float(np.linalg.det(mat))) if dim > 1 else abs(float(mat[0, 0]))
-    if val < JAC_SINGULAR_TOL:
+    kk = k if isinstance(m.parts[i], BranchFamily) else None
+    val = float(m.part_jac(i, xa, kk)[0])
+    if not val >= JAC_SINGULAR_TOL:
         raise SingularJacobianError(xa[0], val)
-    return float(val)
+    return val
 
 
 # --- input densities ------------------------------------------------------------
@@ -574,9 +546,8 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
                                 f"{viol}/{n_in} sampled points")
             if p.jac_abs_det is not None:
                 kk = kb if isinstance(p, BranchFamily) else None
-                fd = np.abs(np.linalg.det(
-                    m.fd_jacobian_matrices(i, xb, kk))) if m.dim > 1 else np.abs(
-                    m.fd_jacobian_matrices(i, xb, kk)[:, 0, 0])
+                mats = m._fd_matrices(p, xb, kk)
+                fd = np.abs(np.linalg.det(mats) if m.dim > 1 else mats[:, 0, 0])
                 rel_jac = np.abs(fd - jac) / np.maximum(np.abs(jac), 1e-300)
                 # finite differences are garbage within h of a forward-map
                 # discontinuity (for example an angle branch cut), a null
@@ -600,7 +571,7 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
                 failures.append(f"{p.name}: declared constant_point but forward "
                                 f"varies (variance {var:.3g})")
         elif p.kind == "rank_deficient":
-            mats = m.fd_jacobian_matrices(i, xb, None)
+            mats = m._fd_matrices(p, xb, None)
             sv = np.linalg.svd(mats, compute_uv=False)
             smin = sv[:, -1]
             frac = float(np.count_nonzero(smin < RANK_DEFICIENT_SV_TOL) / n_in)

@@ -33,8 +33,6 @@ __all__ = [
     "chunk_moments",
     "row_max",
     "row_all",
-    "mc_expectation",
-    "sample_density",
     "tensor_quadrature",
 ]
 
@@ -70,9 +68,6 @@ class RunningStat:
         self._sums: list[float] = []
         self._sumsqs: list[float] = []
         self._n = 0
-
-    def add_chunk(self, values: np.ndarray) -> None:
-        self.add_moments(*chunk_moments(values))
 
     def add_moments(self, s: float, ss: float, n: int) -> None:
         """Merge one chunk's ``chunk_moments``."""
@@ -151,29 +146,6 @@ def run_chunks(fn: Callable[[int, int], object],
         return list(pool.map(lambda cm: fn(*cm), plan))
 
 
-def mc_expectation(point_source: Callable[[int, int], np.ndarray],
-                   integrand: Callable[[np.ndarray], np.ndarray],
-                   n: int,
-                   seed: int,
-                   chunk_size: int = CHUNK_SIZE,
-                   workers: int = 1) -> MCResult:
-    """Chunked deterministic Monte-Carlo mean of ``integrand`` over points.
-
-    ``point_source(chunk_seed, m)`` must yield ``m`` points i.i.d. from the
-    target distribution using only the given seed.
-    """
-    plan = chunk_plan(n, chunk_size)
-
-    def one(c: int, m: int):
-        pts = point_source(derived_seed(seed, c), m)
-        return np.asarray(integrand(pts), dtype=float)
-
-    stat = RunningStat()
-    for values in run_chunks(one, plan, workers):
-        stat.add_chunk(values)
-    return stat.result()
-
-
 # --- density samplers ---------------------------------------------------------
 #
 # Builtin forms sample by per-coordinate inverse CDF; expression pdfs by
@@ -229,11 +201,6 @@ def rejection_sample(pdf: Callable[[np.ndarray], np.ndarray],
         out[got:got + take] = x[accept][:take]
         got += take
     return out, accepted / proposed
-
-
-def sample_density(density, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. points from an input density (see model module)."""
-    return density.sample(n, seed)
 
 
 # --- quadrature ----------------------------------------------------------------

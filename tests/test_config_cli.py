@@ -1,11 +1,14 @@
 """Config schema, preset resolution, and the command-line interface."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoloss.config import (
     list_presets,
@@ -63,6 +66,22 @@ def test_triangle_builder_matches_shipped_preset():
     (lambda d: d["parts"][0].pop("inverse"), "inverse"),
     (lambda d: d["density"].update(form="cauchy"), "unknown form"),
     (lambda d: d["parts"][0]["region"].update(bbox=[[1.0, 0.0]]), "box"),
+    (lambda d: d["density"].update(params=[1, 2]), "density.params"),
+    (lambda d: d["density"].update(exact_diffent_bits="1 bit"),
+     "density.exact_diffent_bits"),
+    (lambda d: d["analysis"].update(n="many"), "analysis.n: expected"),
+    (lambda d: d["analysis"].update(seed=[1]), "analysis.seed"),
+    (lambda d: d["analysis"].update(nodes_per_dim=None), "analysis.nodes_per_dim"),
+    (lambda d: d["analysis"].update(k_max={}), "analysis.k_max"),
+    (lambda d: d["analysis"].update(tol="small"), "analysis.tol: expected"),
+    (lambda d: d["analysis"].update(depths="0:8"), "analysis.depths: expected"),
+    (lambda d: d["parts"][0].update(name=["a"]), "parts[0].name: expected"),
+    (lambda d: d["parts"][0].update(name={"a": 1}), "parts[0].name"),
+    (lambda d: d["analysis"].update(n=-5), "analysis.n must be at least 1"),
+    (lambda d: d["analysis"].update(tol=-1), "analysis.tol: must be"),
+    (lambda d: d["analysis"].update(depths=[0, -1]), "analysis.depths must"),
+    (lambda d: d["parts"][0]["forward"].__setitem__(0, "(" * 3000 + "x1" + ")" * 3000),
+     "nests too deeply"),
 ])
 def test_schema_rejections(mutate, fragment):
     doc = json.loads(preset_path("identity").read_text())
@@ -70,6 +89,45 @@ def test_schema_rejections(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         load_config(doc)
     assert fragment.lower() in str(err.value).lower()
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=12)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_load_config_fuzz_ends_in_config_error(name, data):
+    # any finite JSON value at any path of a preset either loads or is a
+    # ConfigError (exit 2), never another exception type
+    doc = json.loads(preset_path(name).read_text())
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(JSON_VALUES, label="value")
+    if path:
+        target = copy.deepcopy(doc)
+        node = target
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        target = value
+    try:
+        load_config(target)
+    except ConfigError:
+        pass
 
 
 def test_inverse_vars_use_y_names():
@@ -143,6 +201,20 @@ def test_cli_bad_expression_exit_2(tmp_path):
 def test_cli_bad_numeric_argument_exit_2(argv, capsys):
     # rejected as a config error before any sampling starts
     assert cli_main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["parts"][0].update(forward=["-" * 3000 + "x1"]),
+    lambda d: d["analysis"].update(tol=-1),
+    lambda d: d["analysis"].update(n=-5),
+], ids=["deep_forward", "tol_negative", "n_negative"])
+def test_cli_malformed_config_exit_2(tmp_path, capsys, mutate):
+    doc = json.loads(preset_path("identity").read_text())
+    mutate(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["loss", str(p), "--n", "2000"]) == 2
     assert "config error" in capsys.readouterr().err
 
 

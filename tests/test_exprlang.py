@@ -266,6 +266,17 @@ def test_eval_array_matches_scalar():
                 assert arr[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "-" * 3000 + "1",
+    "2^" * 3000 + "2",
+    "not " * 3000 + "1",
+], ids=["parens", "minus", "power", "not"])
+def test_parser_depth_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nests too deeply"):
+        parse(text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=40))
 def test_parser_total_over_arbitrary_text(text):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from infoloss.exprlang import parse
-from infoloss.geometry import Box, Region, box_volume, sample_uniform
+from infoloss.geometry import Box, Region, box_volume
+from infoloss.model import Branch
+from infoloss.numerics import make_generator, uniform_box_sample
+
+
+def sample_uniform(b: Box, n: int, seed: int) -> np.ndarray:
+    lo, hi = b.arrays()
+    return uniform_box_sample(lo, hi, n, make_generator(seed))
 
 
 def square(pred="x1 > x2"):
@@ -73,3 +80,25 @@ def test_bbox_soundness_sampled(setups):
                 continue
             inside = part.region.contains_batch(pts)
             assert np.all(part.region.bbox.contains_points(pts[inside])), name
+
+
+def preset_regions(setup):
+    yield "support", setup.density.support
+    for part in setup.pmap.parts:
+        if isinstance(part, Branch):
+            yield part.name, part.region
+        else:
+            for k in range(part.k_lo, part.k_lo + 4):
+                yield f"{part.name}[k={k}]", part.member_region(k)
+
+
+def test_contains_matches_contains_batch_on_every_preset_region(setups):
+    seen = set()
+    for name, setup in setups.items():
+        pts = sample_uniform(setup.density.support.bbox, 200, seed=31)
+        for where, region in preset_regions(setup):
+            batch = region.contains_batch(pts)
+            seen.update(batch.tolist())
+            for x, want in zip(pts, batch):
+                assert region.contains(x) is bool(want), (name, where, x)
+    assert seen == {True, False}

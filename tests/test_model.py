@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from infoloss.config import load_config
-from infoloss.errors import AmbiguousBranchError, NoBranchError
+from infoloss.errors import AmbiguousBranchError, NoBranchError, SingularJacobianError
 from infoloss.model import (
     Branch,
     InputDensity,
@@ -114,6 +114,27 @@ def test_jac_triangle_fold_unity(setups):
     m = setups["ex6_m1"].pmap
     assert jac_abs_det_at(m, (0.5, -1.0)) == 1.0
     assert jac_abs_det_at(m, (-0.5, 0.2)) == 1.0
+
+
+def test_jac_nan_expression_is_singular():
+    # sqrt of a negative is NaN in the batch evaluator; a NaN |det J| is
+    # a typed singular-Jacobian failure, never a silent NaN
+    cfg = {
+        "dim": 1,
+        "density": {
+            "form": "uniform_box",
+            "support": {"predicate": "x1 >= -1 and x1 <= 1", "bbox": [[-1.0, 1.0]]},
+        },
+        "parts": [
+            {"type": "branch", "name": "only", "kind": "bijective",
+             "region": {"predicate": "x1 >= -1 and x1 <= 1", "bbox": [[-1.0, 1.0]]},
+             "forward": ["x1"], "inverse": ["y1"], "jac_abs_det": "sqrt(x1)"},
+        ],
+    }
+    m = load_config(cfg).pmap
+    assert jac_abs_det_at(m, (0.25,)) == 0.5
+    with pytest.raises(SingularJacobianError):
+        jac_abs_det_at(m, (-0.5,))
 
 
 # --- validate -------------------------------------------------------------------

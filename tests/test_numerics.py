@@ -16,8 +16,8 @@ from infoloss.numerics import (
     exponential_sample,
     gaussian_iid_sample,
     make_generator,
-    mc_expectation,
     rejection_sample,
+    run_chunks,
     tensor_quadrature,
     uniform_box_sample,
 )
@@ -28,23 +28,34 @@ def unit_source(seed, m):
     return rng.random((m, 1))
 
 
+def mc_expectation(integrand, n, seed, workers=1):
+    """Chunked Monte-Carlo mean of ``integrand`` over uniform points on
+    [0, 1), merged the way the estimators merge their chunks."""
+    def one(c, m):
+        return chunk_moments(integrand(unit_source(derived_seed(seed, c), m)))
+
+    stat = RunningStat()
+    for moments in run_chunks(one, chunk_plan(n), workers):
+        stat.add_moments(*moments)
+    return stat.result()
+
+
 def test_constant_integrand():
-    res = mc_expectation(unit_source, lambda p: np.full(p.shape[0], 2.5),
-                         n=10_000, seed=4)
+    res = mc_expectation(lambda p: np.full(p.shape[0], 2.5), n=10_000, seed=4)
     assert res.mean == 2.5
     assert res.stderr == 0.0
     assert res.n == 10_000
 
 
 def test_uniform_mean():
-    res = mc_expectation(unit_source, lambda p: p[:, 0], n=200_000, seed=9)
+    res = mc_expectation(lambda p: p[:, 0], n=200_000, seed=9)
     assert abs(res.mean - 0.5) < 3 * res.stderr
 
 
 def test_worker_counts_give_identical_results():
     kw = dict(n=200_000, seed=13)
-    a = mc_expectation(unit_source, lambda p: np.sin(7 * p[:, 0]), **kw, workers=1)
-    b = mc_expectation(unit_source, lambda p: np.sin(7 * p[:, 0]), **kw, workers=8)
+    a = mc_expectation(lambda p: np.sin(7 * p[:, 0]), **kw, workers=1)
+    b = mc_expectation(lambda p: np.sin(7 * p[:, 0]), **kw, workers=8)
     assert a == b
 
 
@@ -62,9 +73,9 @@ def test_running_stat_merge_order_independent():
     chunks = [rng.normal(size=100) for _ in range(5)]
     a, b = RunningStat(), RunningStat()
     for c in chunks:
-        a.add_chunk(c)
+        a.add_moments(*chunk_moments(c))
     for c in reversed(chunks):
-        b.add_chunk(c)
+        b.add_moments(*chunk_moments(c))
     assert a.result() == b.result()
 
 
@@ -136,11 +147,13 @@ def test_quadrature_integrable_singularity():
 
 
 def test_running_stat_merges_chunk_moments_exactly():
+    # multiples of 1/8 below 2**10 sum exactly in any order, so merging
+    # the chunks' moments must equal the moments of their concatenation
     rng = np.random.default_rng(1)
-    chunks = [rng.normal(size=n) for n in (100, 37, 1)]
+    chunks = [rng.integers(-8192, 8192, size=n) / 8.0 for n in (100, 37, 1)]
     a, b = RunningStat(), RunningStat()
     for c in chunks:
-        a.add_chunk(c)
-        b.add_moments(*chunk_moments(c))
+        a.add_moments(*chunk_moments(c))
+    b.add_moments(*chunk_moments(np.concatenate(chunks)))
     assert a.result() == b.result()
-    assert b.result().n == 138
+    assert a.result().n == 138

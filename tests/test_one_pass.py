@@ -12,7 +12,7 @@ import json
 import pytest
 
 from infoloss import cli, loss
-from infoloss.bounds import bounds_report, entropy_W
+from infoloss.bounds import bounds_report
 from infoloss.classify import classify
 from infoloss.numerics import CHUNK_SIZE, chunk_plan
 
@@ -81,11 +81,10 @@ def test_report_builds_each_chunk_once(setups, monkeypatch):
     (lambda m, d, cls: loss.differential_entropy_mc(d, 5000, SEED), {"fx"}),
     (lambda m, d, cls: loss.expected_log_jacdet(m, d, 5000, SEED),
      {"dispatch", "ok", "jac"}),
-    (lambda m, d, cls: entropy_W(m, d, 5000, SEED), {"dispatch"}),
     (lambda m, d, cls: loss.loss_eq5_mc(m, d, 5000, SEED, classification=cls),
      STAGES),
 ], ids=["bounds_report", "differential_entropy_mc", "expected_log_jacdet",
-        "entropy_W", "loss_eq5_mc"])
+        "loss_eq5_mc"])
 def test_selectors_build_only_the_stages_they_read(setups, monkeypatch, run,
                                                    built):
     setup = setups["ex6_m1"]
