@@ -28,9 +28,9 @@ from .classify import atom_scan, classify
 from .config import (
     ModelSetup,
     at_least_one,
+    check_depths,
     list_presets,
     load_config_file,
-    nonnegative_depths,
     preset_dir,
     resolve_config_path,
 )
@@ -68,12 +68,12 @@ def _analysis_overrides(setup: ModelSetup, args):
     nodes = given("nodes", a.nodes_per_dim)
     depths = a.depths
     if getattr(args, "depths", None):
-        depths = _parse_depths(args.depths)
+        depths = _parse_depths(args.depths, setup.pmap.dim)
     workers = given("workers", 1)
     return n, seed, nodes, depths, workers
 
 
-def _parse_depths(text: str) -> tuple[int, ...]:
+def _parse_depths(text: str, dim: int) -> tuple[int, ...]:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
@@ -83,7 +83,7 @@ def _parse_depths(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ConfigError(f"--depths wants A:B or a comma list of integers, "
                           f"got {text!r}") from None
-    return nonnegative_depths("--depths", depths)
+    return check_depths("--depths", depths, dim)
 
 
 def cmd_validate(args) -> int:

@@ -21,6 +21,7 @@ from . import exprlang
 from .errors import ConfigError
 from .exprlang import Expr
 from .geometry import Box, Region, box_volume
+from .loss import MAX_DEPTH_BITS
 from .model import Branch, BranchFamily, InputDensity, PiecewiseMap
 from .numerics import make_generator
 
@@ -71,10 +72,16 @@ def at_least_one(where: str, value: int) -> int:
     return value
 
 
-def nonnegative_depths(where: str, depths: tuple[int, ...]) -> tuple[int, ...]:
-    """``depths`` if no depth is negative, else a ConfigError naming ``where``."""
+def check_depths(where: str, depths: tuple[int, ...],
+                 dim: int) -> tuple[int, ...]:
+    """``depths`` if every depth is nonnegative and its sweep cell index,
+    of depth * dim bits, fits the int64 range (depth * dim <= 62), else a
+    ConfigError naming ``where``."""
     if any(v < 0 for v in depths):
         raise ConfigError(f"{where} must be nonnegative, got {list(depths)}")
+    if any(v * dim > MAX_DEPTH_BITS for v in depths):
+        raise ConfigError(f"{where} must have depth * dim <= {MAX_DEPTH_BITS}"
+                          f" (dim {dim}), got {list(depths)}")
     return depths
 
 
@@ -253,9 +260,9 @@ def _part(obj, dim: int, idx: int):
     raise _fail(where, f"unknown part type {ptype!r}")
 
 
-def _analysis(obj) -> AnalysisParams:
+def _analysis(obj, dim: int) -> AnalysisParams:
     if obj is None:
-        return AnalysisParams()
+        obj = {}  # the defaults pass the same checks (depth * dim too)
     if not isinstance(obj, dict):
         raise _fail("analysis", "expected an object")
 
@@ -274,8 +281,8 @@ def _analysis(obj) -> AnalysisParams:
         seed=integer("seed"),
         nodes_per_dim=at_least_one("analysis.nodes_per_dim",
                                    integer("nodes_per_dim")),
-        depths=nonnegative_depths("analysis.depths", tuple(
-            _integer(v, "analysis.depths") for v in depths)),
+        depths=check_depths("analysis.depths", tuple(
+            _integer(v, "analysis.depths") for v in depths), dim),
         k_max=at_least_one("analysis.k_max", integer("k_max")),
         tol=tol,
     )
@@ -297,7 +304,7 @@ def load_config(doc: dict, name_hint: str = "") -> ModelSetup:
         pmap = PiecewiseMap(dim, parts)
     except ValueError as err:
         raise _fail("parts", str(err)) from err
-    analysis = _analysis(doc.get("analysis"))
+    analysis = _analysis(doc.get("analysis"), dim)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     name = doc.get("name", name_hint or "model")

@@ -59,6 +59,7 @@ __all__ = [
     "PartitionSweep",
     "CardinalityTally",
     "ESTIMATORS",
+    "MAX_DEPTH_BITS",
     "estimate",
     "loss_eq5_mc",
     "loss_eq5_quadrature",
@@ -70,6 +71,9 @@ __all__ = [
 ]
 
 _CLASSIFY_N = 100_000
+# a sweep cell index has depth * dim bits and must fit an int64
+MAX_DEPTH_BITS = 62
+_SWEEP_TILE = 4096  # table columns (sample rows) per sweep tile; >= 2
 
 
 @dataclass(frozen=True)
@@ -238,22 +242,34 @@ def _cardinality(ch: _Chunk):
 
 
 def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
+    """Quantized-input entropy per row at each depth, walking the slot
+    table in column tiles of ``_SWEEP_TILE`` sample rows so that one tile's
+    working set is reused by every depth while it is in cache.  A last
+    tile of one column joins the tile before it: numpy sums a one-column
+    table pairwise, not slot by slot (see ``_grouped_entropy_bits``)."""
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
-    u = (t.x - lo) / (hi - lo)
-    per_depth = []
-    for depth in depths:
-        ncells = 1 << depth
-        axes = np.floor(u * ncells)
-        axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
-        cell = axes[..., 0]
-        for dd in range(1, ch.m.dim):
-            cell = cell * ncells + axes[..., dd]
-        cell = np.where(t.valid, cell, -1)
-        h = _grouped_entropy_bits(cell, t.weight, t.f_y)
-        per_depth.append(chunk_moments(np.where(ch.ok, h, 0.0)))
-    return tuple(per_depth)
+    rows = t.f_y.shape[0]
+    edges = [*range(0, rows, _SWEEP_TILE), rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    h = np.empty((len(depths), rows))
+    for c0, c1 in zip(edges, edges[1:]):
+        cols = slice(c0, c1)
+        u = (t.x[:, cols] - lo) / (hi - lo)
+        valid = np.ascontiguousarray(t.valid[:, cols])
+        weight = np.ascontiguousarray(t.weight[:, cols])
+        for j, depth in enumerate(depths):
+            ncells = 1 << depth
+            axes = np.floor(u * ncells)
+            axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
+            cell = axes[..., 0]
+            for dd in range(1, ch.m.dim):
+                cell = cell * ncells + axes[..., dd]
+            cell = np.where(valid, cell, -1)
+            h[j, cols] = _grouped_entropy_bits(cell, weight, t.f_y[cols])
+    return tuple(chunk_moments(np.where(ch.ok, hj, 0.0)) for hj in h)
 
 
 def _neg_log_fx(ch: _Chunk):
@@ -370,6 +386,9 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
         depths = [int(v) for v in depths]
         if any(v < 0 for v in depths):
             raise ValueError("depths must be nonnegative")
+        if any(v * m.dim > MAX_DEPTH_BITS for v in depths):
+            raise ValueError(f"depth * dim must be at most {MAX_DEPTH_BITS}, "
+                             f"got depths {depths} at dim {m.dim}")
         sweep = partial(_sweep_depths, depths=depths)
         sweep_n = n if sweep_n is None else sweep_n
         for cm in chunk_plan(sweep_n, chunk_size):
@@ -504,6 +523,12 @@ def _grouped_entropy_bits(cells: np.ndarray, w: np.ndarray,
     a running maximum); the entropy terms are summed over slots in sorted
     order, one slot at a time.  Grouping by ``bincount``, ``np.unique``,
     a flat composite key or a pairwise sum rounds differently.
+
+    Columns are independent, so any column tiling of the table keeps the
+    bytes, with one exception: numpy sums the slots of a one-column
+    table pairwise, not one at a time, so a one-column tile cut from a
+    wider table rounds differently from it (a one-column table of its
+    own, such as a chunk of one row, is summed pairwise either way).
     """
     if cells.shape[0] == 0:
         return np.zeros(cells.shape[1])

@@ -35,6 +35,7 @@ from .numerics import (
     make_generator,
     rejection_sample,
     row_max,
+    row_prod,
     tensor_quadrature,
     uniform_box_sample,
 )
@@ -100,8 +101,11 @@ class BranchFamily:
     def kind(self) -> str:
         return "bijective"
 
-    def member_region(self, k: int) -> Region:
-        return Region(self.region_of_k, self.bbox, extra_binding={"k": float(k)})
+    def member_region(self, k) -> Region:
+        """The region of member ``k``; an array ``k`` names one member per
+        row of the points tested."""
+        return Region(self.region_of_k, self.bbox,
+                      extra_binding={"k": np.asarray(k, dtype=float)})
 
 
 Part = Union[Branch, BranchFamily]
@@ -353,11 +357,11 @@ class InputDensity:
                 mu = float(self.params.get("mu", 0.0))
                 sigma = float(self.params.get("sigma", 1.0))
                 z = (x - mu) / sigma
-                vals = np.prod(
-                    np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi)), axis=1)
+                vals = row_prod(
+                    np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi)))
             elif self.form == "exponential":
                 lam = float(self.params["lambda"])
-                vals = np.prod(lam * np.exp(-lam * x), axis=1)
+                vals = row_prod(lam * np.exp(-lam * x))
             else:
                 binding = {f"x{d + 1}": x[:, d] for d in range(self.dim)}
                 vals = np.broadcast_to(

@@ -33,6 +33,7 @@ __all__ = [
     "chunk_moments",
     "row_max",
     "row_all",
+    "row_prod",
     "tensor_quadrature",
 ]
 
@@ -118,6 +119,17 @@ def row_all(a: np.ndarray) -> np.ndarray:
     out = a[:, 0].astype(bool)
     for j in range(1, a.shape[1]):
         np.logical_and(out, a[:, j], out=out)
+    return out
+
+
+def row_prod(a: np.ndarray) -> np.ndarray:
+    """``np.prod(a, axis=1)`` of an (m, N) array, as a fold of
+    ``np.multiply`` over the N columns (see ``row_max``).  The row-wise
+    product multiplies each row left to right, as the fold does, so the
+    values are the same.  The result is a new array."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.multiply(out, a[:, j], out=out)
     return out
 
 

@@ -15,7 +15,15 @@ Family parts enumerate members k = k_lo, k_lo+1, ... and stop at
 ``k_max`` members or once two consecutive members contribute less than
 1e-12 of the running density sum everywhere in the batch; stopping an
 enumeration that the member range did not exhaust sets the truncation
-flag.
+flag.  Members are evaluated in blocks of ``_MEMBER_BLOCK // rows``
+(at least one, at most what ``k_max`` and the member range leave): the
+block's rows are the query rows repeated once per member, with ``k``
+bound per row, so a few query points take a whole family in one pass
+while a large batch still takes one member at a time.  The stop rule
+then walks the block member by member, adding each member's weights to
+the running sum in order; the members after the stop are dropped, and
+only the members kept are checked for a singular Jacobian, so the table
+and the first error raised are those of a one-member-at-a-time walk.
 
 Everything here is built on one vectorized candidate table so the Monte
 Carlo and quadrature engines share the exact code path of the scalar
@@ -57,6 +65,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 _TAIL_REL = 1e-12
+_MEMBER_BLOCK = 4096  # family rows (members x query rows) per evaluation
 
 
 @dataclass(frozen=True)
@@ -103,47 +112,105 @@ class CandidateTable:
         return np.count_nonzero(self.valid, axis=0)
 
 
+def _check_jacobian(xc: np.ndarray, jac: np.ndarray, bad: np.ndarray):
+    """Raise for the first row of one slot with a singular Jacobian."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise SingularJacobianError(xc[i], float(jac[i]))
+
+
 def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
-                   y: np.ndarray, k: Optional[int], tol: float):
-    """Candidate, validity, density and Jacobian of one part/member."""
+                   y: np.ndarray, ks: Optional[np.ndarray], tol: float):
+    """Candidate, validity, density, Jacobian and singular-Jacobian mask
+    of one part as (slots, rows[, N]) arrays: one slot for a branch
+    (``ks`` None), one per member of the family block ``ks``.  A block's
+    rows are evaluated in one pass, member-major, with ``k`` bound per
+    row; the caller raises for singular rows of the slots it keeps."""
     p = m.parts[part_index]
     rows = y.shape[0]
-    binding = {f"y{dd + 1}": y[:, dd] for dd in range(m.dim)}
-    if k is not None:
-        binding["k"] = float(k)
+    slots = 1 if ks is None else ks.size
+    yb = y if slots == 1 else np.tile(y, (slots, 1))
+    n = yb.shape[0]
+    binding = {f"y{dd + 1}": yb[:, dd] for dd in range(m.dim)}
+    karr = kb = None
+    if ks is not None:
+        karr = np.repeat(ks.astype(float), rows)
+        # one member binds k to its inverse and region as a number: the
+        # same values, without an array pass per operation on k
+        kb = karr if slots > 1 else float(ks[0])
+        binding["k"] = kb
     xc = np.column_stack([
-        np.broadcast_to(eval_array(inv, binding), (rows,))
+        np.broadcast_to(eval_array(inv, binding), (n,))
         for inv in p.inverse]).astype(float)
     finite = row_all(np.isfinite(xc))
     xc = np.where(finite[:, None], xc, 0.0)
 
-    if isinstance(p, BranchFamily):
-        in_region = p.member_region(k).contains_batch(xc)
-    else:
+    if ks is None:
         in_region = p.region.contains_batch(xc)
+    else:
+        in_region = p.member_region(kb).contains_batch(xc)
     fx = d.pdf_batch(xc)
-    karr = np.full(rows, float(k)) if k is not None else None
 
     xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
     if karr is not None:
         xbind["k"] = karr
     y_back = np.column_stack([
-        np.broadcast_to(eval_array(fe, xbind), (rows,))
+        np.broadcast_to(eval_array(fe, xbind), (n,))
         for fe in p.forward])
-    with np.errstate(invalid="ignore"):
-        maps_back = row_max(np.abs(y_back - y)) <= tol * (
-            1.0 + row_max(np.abs(y)))
+    # a singular row's weight may divide by zero: it is never kept
+    with np.errstate(invalid="ignore", divide="ignore"):
+        maps_back = row_max(np.abs(y_back - yb)) <= tol * (
+            1.0 + row_max(np.abs(yb)))
         maps_back &= row_all(np.isfinite(y_back))
 
-    valid = finite & in_region & (fx > 0.0) & maps_back
-    jac = m.part_jac(part_index, xc, karr)
-    bad = valid & ~(jac > JAC_SINGULAR_TOL)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SingularJacobianError(xc[i], float(jac[i]))
-    jac = np.where(valid, jac, 1.0)
-    weight = np.where(valid, fx / jac, 0.0)
-    return xc, valid, weight, jac
+        valid = finite & in_region & (fx > 0.0) & maps_back
+        jac = m.part_jac(part_index, xc, karr)
+        bad = valid & ~(jac > JAC_SINGULAR_TOL)
+        jac = np.where(valid, jac, 1.0)
+        weight = np.where(valid, fx / jac, 0.0)
+    return (xc.reshape(slots, rows, m.dim), valid.reshape(slots, rows),
+            weight.reshape(slots, rows), jac.reshape(slots, rows),
+            bad.reshape(slots, rows))
+
+
+def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
+                  y: np.ndarray, tol: float, k_max: int):
+    """Members k_lo, k_lo + 1, ... of one family as table slots
+    (x, valid, weight, jac, part index, k), and whether the enumeration
+    stopped before the member range ended.  Members are evaluated in
+    blocks of ``_MEMBER_BLOCK // rows``; the stop rule then walks the
+    block one member at a time and drops the members after the stop."""
+    p = m.parts[part_index]
+    rows = y.shape[0]
+    block = max(1, _MEMBER_BLOCK // rows)
+    slots = []
+    running = np.zeros(rows)
+    any_valid_seen = False
+    small_streak = 0
+    k = p.k_lo
+    while p.k_hi is None or k <= p.k_hi:
+        count = min(block, k_max - len(slots))
+        if p.k_hi is not None:
+            count = min(count, p.k_hi - k + 1)
+        if count <= 0:
+            return slots, True  # k_max reached: member k was not examined
+        xc, valid, weight, jac, bad = _slot_for_part(
+            m, d, part_index, y, np.arange(k, k + count), tol)
+        for j in range(count):
+            _check_jacobian(xc[j], jac[j], bad[j])
+            slots.append((xc[j], valid[j], weight[j], jac[j], part_index,
+                          k + j))
+            running += weight[j]
+            if np.any(valid[j]):
+                any_valid_seen = True
+            if any_valid_seen:
+                tiny = np.all(
+                    weight[j] <= _TAIL_REL * np.maximum(running, 1e-300))
+                small_streak = small_streak + 1 if tiny else 0
+                if small_streak >= 2:
+                    return slots, p.k_hi is None or k + j < p.k_hi
+        k += count
+    return slots, False
 
 
 def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
@@ -157,57 +224,23 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     rows = y.shape[0]
-    xs, valids, weights, jacs = [], [], [], []
-    codes, slot_part, slot_k = [], [], []
+    slots = []  # (x, valid, weight, jac, part index, k) per slot
     truncated = np.zeros(rows, dtype=bool)
 
     for i, p in enumerate(m.parts):
         if p.kind != "bijective":
             continue
         if isinstance(p, Branch):
-            xc, valid, weight, jac = _slot_for_part(m, d, i, y, None, tol)
-            xs.append(xc)
-            valids.append(valid)
-            weights.append(weight)
-            jacs.append(jac)
-            codes.append(m.part_code(i))
-            slot_part.append(i)
-            slot_k.append(0)
+            xc, valid, weight, jac, bad = _slot_for_part(m, d, i, y, None, tol)
+            _check_jacobian(xc[0], jac[0], bad[0])
+            slots.append((xc[0], valid[0], weight[0], jac[0], i, 0))
             continue
-        # family: enumerate members with the tail stopping rule
-        running = np.zeros(rows)
-        any_valid_seen = False
-        small_streak = 0
-        k = p.k_lo
-        members = 0
-        more_members = False
-        while p.k_hi is None or k <= p.k_hi:
-            if members >= k_max:
-                more_members = True  # member k itself was not examined
-                break
-            xc, valid, weight, jac = _slot_for_part(m, d, i, y, k, tol)
-            xs.append(xc)
-            valids.append(valid)
-            weights.append(weight)
-            jacs.append(jac)
-            codes.append(m.part_code(i, k))
-            slot_part.append(i)
-            slot_k.append(k)
-            running += weight
-            members += 1
-            if np.any(valid):
-                any_valid_seen = True
-            if any_valid_seen:
-                tiny = np.all(weight <= _TAIL_REL * np.maximum(running, 1e-300))
-                small_streak = small_streak + 1 if tiny else 0
-                if small_streak >= 2:
-                    more_members = p.k_hi is None or k < p.k_hi
-                    break
-            k += 1
-        if more_members:
+        members, cut = _family_slots(m, d, i, y, tol, k_max)
+        slots += members
+        if cut:
             truncated |= True
 
-    if not xs:
+    if not slots:
         # no bijective parts at all (for example a pure quantizer)
         return CandidateTable(
             x=np.zeros((0, rows, m.dim)), valid=np.zeros((0, rows), dtype=bool),
@@ -217,6 +250,7 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
             k_of_slot=np.zeros(0, dtype=np.int64),
             f_y=np.zeros(rows), truncated=truncated)
 
+    xs, valids, weights, jacs, slot_part, slot_k = zip(*slots)
     x = np.stack(xs)
     valid = np.stack(valids)
     weight = np.stack(weights)
@@ -241,7 +275,8 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
 
     return CandidateTable(
         x=x, valid=valid, weight=weight, jac=jac,
-        code=np.asarray(codes, dtype=np.int64),
+        code=np.asarray([m.part_code(i, k) for i, k in zip(slot_part, slot_k)],
+                        dtype=np.int64),
         part_of_slot=part_arr,
         k_of_slot=np.asarray(slot_k, dtype=np.int64),
         f_y=weight.sum(axis=0), truncated=truncated)

@@ -80,6 +80,7 @@ def test_triangle_builder_matches_shipped_preset():
     (lambda d: d["analysis"].update(n=-5), "analysis.n must be at least 1"),
     (lambda d: d["analysis"].update(tol=-1), "analysis.tol: must be"),
     (lambda d: d["analysis"].update(depths=[0, -1]), "analysis.depths must"),
+    (lambda d: d["analysis"].update(depths=[0, 63]), "depth * dim <= 62"),
     (lambda d: d["parts"][0]["forward"].__setitem__(0, "(" * 3000 + "x1" + ")" * 3000),
      "nests too deeply"),
 ])
@@ -194,10 +195,12 @@ def test_cli_bad_expression_exit_2(tmp_path):
     ["sweep", "ex1_fold_square", "--depths", "1,,2"],
     ["sweep", "ex1_fold_square", "--depths=-1:2"],
     ["sweep", "ex1_fold_square", "--depths", "2,-3"],
+    ["sweep", "ex3_exp_sawtooth", "--depths", "8,63"],
+    ["sweep", "ex1_fold_square", "--depths", "30:32"],
 ], ids=["n_negative", "n_zero", "validate_n_zero", "workers_negative",
         "workers_zero", "nodes_zero", "depths_unparsable_range",
         "depths_unparsable_list", "depths_negative_range",
-        "depths_negative_list"])
+        "depths_negative_list", "depth_63_at_dim_1", "depth_32_at_dim_2"])
 def test_cli_bad_numeric_argument_exit_2(argv, capsys):
     # rejected as a config error before any sampling starts
     assert cli_main(argv) == 2
@@ -216,6 +219,17 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, mutate):
     p.write_text(json.dumps(doc))
     assert cli_main(["loss", str(p), "--n", "2000"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, depth", [("ex3_exp_sawtooth", 62),
+                                         ("ex1_fold_square", 31)])
+def test_cli_sweep_runs_at_the_deepest_allowed_depth(name, depth, capsys):
+    # the sweep's cell index has depth * dim bits, at most 62; one level
+    # deeper is a config error (the test above), not a wrapped-around index
+    assert cli_main(["sweep", name, "--n", "2000",
+                     "--depths", f"8,{depth}"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", str(depth)]
 
 
 def test_cli_loss_identity():

@@ -5,14 +5,21 @@ operations in the same order as the reference forms, so every
 comparison here is on the raw bytes, not within a tolerance.
 """
 
+import json
+from types import SimpleNamespace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from infoloss import loss, transform
+from infoloss.config import load_config, preset_path
+from infoloss.errors import SingularJacobianError
 from infoloss.loss import _grouped_entropy_bits
-from infoloss.numerics import row_all, row_max
+from infoloss.numerics import row_all, row_max, row_prod
 
 
 def reference_grouped_entropy_bits(cells, w, f_y):
@@ -93,14 +100,20 @@ _ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0, 3e-310]
                   elements=st.sampled_from(_ENTRIES)))
 def test_row_helpers_match_numpy_row_reductions(a):
     before = a.tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 in both products
+        _check_row_helpers(a)
+    assert a.tobytes() == before
+
+
+def _check_row_helpers(a):
     for helper, reference, arg in ((row_max, np.max, a),
+                                   (row_prod, np.prod, a),
                                    (row_all, np.all, a),
                                    (row_all, np.all, np.isfinite(a))):
         got, expected = helper(arg), reference(arg, axis=1)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
         assert not np.shares_memory(got, arg)
-    assert a.tobytes() == before
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -111,7 +124,187 @@ def test_row_helpers_small_shapes_leave_the_input_alone(rows, dim):
     out = row_max(a)
     assert out.tobytes() == np.max(a, axis=1).tobytes()
     out += 1.0
+    out = row_prod(a)
+    assert out.tobytes() == np.prod(a, axis=1).tobytes()
+    out += 1.0
     ok = row_all(a > 0.0)
     assert ok.tobytes() == np.all(a > 0.0, axis=1).tobytes()
     ok[...] = False
     assert a.tobytes() == before.tobytes()
+
+
+# --- the column-tiled sweep ------------------------------------------------------
+
+def reference_sweep_depths(ch, depths):
+    """The sweep's depth loop as it was before column tiles: every depth
+    over the chunk's full table width."""
+    ch.f_y_checked()
+    t = ch.table
+    lo, hi = ch.d.support.bbox.arrays()
+    u = (t.x - lo) / (hi - lo)
+    per_depth = []
+    for depth in depths:
+        ncells = 1 << depth
+        axes = np.floor(u * ncells)
+        axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
+        cell = axes[..., 0]
+        for dd in range(1, ch.m.dim):
+            cell = cell * ncells + axes[..., dd]
+        cell = np.where(t.valid, cell, -1)
+        h = _grouped_entropy_bits(cell, t.weight, t.f_y)
+        per_depth.append(loss.chunk_moments(np.where(ch.ok, h, 0.0)))
+    return tuple(per_depth)
+
+
+class FakeChunk:
+    """What ``_sweep_depths`` reads of a chunk: the candidate table, the
+    support box, the dimension and the bijective-row mask."""
+
+    def __init__(self, x, valid, weight, ok, lo, hi):
+        self.table = SimpleNamespace(x=x, valid=valid, weight=weight,
+                                     f_y=weight.sum(axis=0))
+        box = SimpleNamespace(arrays=lambda: (np.asarray(lo), np.asarray(hi)))
+        self.d = SimpleNamespace(support=SimpleNamespace(bbox=box))
+        self.m = SimpleNamespace(dim=x.shape[2])
+        self.ok = ok
+
+    def f_y_checked(self):
+        return self.table.f_y
+
+
+def _per_row_entropies(sweep, ch, depths):
+    """The sweep's per-row entropies at each depth, as raw bytes: the
+    moments are taken of the bytes of the array they are given."""
+    with patch.object(loss, "chunk_moments", lambda v: np.asarray(v).tobytes()):
+        return sweep(ch, depths)
+
+
+@st.composite
+def sweep_tables(draw):
+    """A slot table of N = 1 or 2 as the sweep reads it, and a tile width
+    T: the table is 1, T - 1, T, T + 1 or 3T + 17 columns wide; invalid
+    slots carry zero weight; few distinct x values give shared cells;
+    columns are presorted by slot (every coordinate nondecreasing),
+    unsorted, or a mix within one table, so tiles may take different
+    branches of the grouping kernel than the full width does."""
+    dim = draw(st.integers(1, 2))
+    tile = draw(st.sampled_from([2, 3, 5, 8]))
+    rows = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 3 * tile + 17]))
+    slots = draw(st.integers(1, 12))
+    lo, hi = [-1.0] * dim, [3.0] * dim
+    x = draw(hnp.arrays(np.float64, (slots, rows, dim), elements=st.sampled_from(
+        [-1.0, -0.5, 0.0, 0.1, 0.75, 1.0, 2.9, 3.0]) | st.floats(-1.0, 3.0)))
+    layout = draw(st.sampled_from(["sorted", "unsorted", "mixed"]))
+    if layout == "sorted":
+        x = np.sort(x, axis=0)
+    elif layout == "mixed":
+        cols = draw(st.lists(st.integers(0, rows - 1), max_size=rows))
+        x[:, cols] = np.sort(x[:, cols], axis=0)
+    valid = draw(hnp.arrays(np.bool_, (slots, rows)))
+    w = draw(hnp.arrays(np.float64, (slots, rows),
+                        elements=st.sampled_from([0.0, 0.25, 1.0])
+                        | st.floats(0.0, 1.0)))
+    w = np.where(valid, w, 0.0)
+    ok = draw(hnp.arrays(np.bool_, rows))
+    depths = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4))
+    return FakeChunk(x, valid, w, ok, lo, hi), depths, tile
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_tables())
+def test_tiled_sweep_matches_the_full_width_loop(case):
+    ch, depths, tile = case
+    expected = _per_row_entropies(reference_sweep_depths, ch, depths)
+    with patch.object(loss, "_SWEEP_TILE", tile):
+        got = _per_row_entropies(loss._sweep_depths, ch, depths)
+    assert got == expected
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, loss._SWEEP_TILE + 17])
+def test_tiled_sweep_at_the_default_tile(extra):
+    # widths just around one and two default tiles, on real-sized columns
+    tile = loss._SWEEP_TILE
+    rows = tile + extra
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(0.0, 1.0, size=(4, rows, 1))
+    x[:, : rows // 2] = np.sort(x[:, : rows // 2], axis=0)
+    valid = rng.random((4, rows)) < 0.8
+    w = np.where(valid, rng.random((4, rows)), 0.0)
+    ch = FakeChunk(x, valid, w, rng.random(rows) < 0.9, [0.0], [1.0])
+    depths = [0, 3, 8]
+    assert _per_row_entropies(loss._sweep_depths, ch, depths) == \
+        _per_row_entropies(reference_sweep_depths, ch, depths)
+
+
+# --- member-blocked family enumeration ---------------------------------------------
+
+TABLE_FIELDS = ("x", "valid", "weight", "jac", "code", "part_of_slot",
+                "k_of_slot", "f_y", "truncated")
+
+
+def _sawtooth_doc(**family):
+    doc = json.loads(preset_path("ex3_exp_sawtooth").read_text())
+    doc["parts"][0].update(family)
+    return doc
+
+
+def _table_or_error(m, d, y, k_max):
+    try:
+        return transform.build_candidates(m, d, y, k_max=k_max)
+    except SingularJacobianError as err:
+        return err
+
+
+def _assert_same(got, expected):
+    if isinstance(expected, SingularJacobianError):
+        assert isinstance(got, SingularJacobianError)
+        assert np.asarray(got.x).tobytes() == np.asarray(expected.x).tobytes()
+        assert got.value == expected.value
+        return
+    for name in TABLE_FIELDS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _query_points(rows):
+    """Sawtooth outputs in [0, 1/1.5), with some rows off the image."""
+    rng = np.random.default_rng(rows)
+    y = rng.uniform(-0.1, 0.7, size=(rows, 1))
+    y[0] = 0.3
+    return y
+
+
+@pytest.mark.parametrize("rows", [1, 2, 37, 5000])
+@pytest.mark.parametrize("family, k_max", [
+    ({}, 64),
+    ({}, 3),
+    ({"k_range": [1, 5]}, 64),
+    ({"k_range": [1, 5]}, 3),
+    ({"k_range": [1, 5]}, 5),
+    ({"jac_abs_det": "abs(k - 3)"}, 64),
+    ({"jac_abs_det": "abs(k - 34)"}, 64),
+], ids=["unbounded", "k_max_cut", "bounded", "bounded_k_max_cut",
+        "bounded_k_max_at_k_hi", "singular_member_kept",
+        "singular_member_after_the_stop"])
+def test_member_blocks_match_one_member_at_a_time(rows, family, k_max):
+    setup = load_config(_sawtooth_doc(**family))
+    m, d = setup.pmap, setup.density
+    y = _query_points(rows)
+    got = _table_or_error(m, d, y, k_max)
+    with patch.object(transform, "_MEMBER_BLOCK", 1):
+        expected = _table_or_error(m, d, y, k_max)
+    _assert_same(got, expected)
+    if family.get("jac_abs_det") == "abs(k - 3)":
+        assert isinstance(expected, SingularJacobianError)  # member k = 3
+    elif family.get("jac_abs_det") == "abs(k - 34)":
+        # the tail stops before member 34, whose candidates lie in the
+        # support; a block of 64 members evaluates it and drops it unchecked
+        assert not isinstance(expected, SingularJacobianError)
+        assert expected.k_of_slot.max() < 34
+    elif k_max == 3:
+        assert expected.truncated.all() and expected.x.shape[0] == 3
+    elif "k_range" in family:
+        # the member range runs out at k_max = 5 without a cut
+        assert not expected.truncated.any() and expected.x.shape[0] == 5
+

@@ -171,6 +171,19 @@ def test_sweep_monotone_and_below_loss(setups):
     assert sw.losses_bits[-1] == pytest.approx(0.5, abs=0.01)
 
 
+@pytest.mark.parametrize("name, deepest", [("ex3_exp_sawtooth", 62),
+                                           ("ex1_fold_square", 31)])
+def test_sweep_refuses_cell_indices_beyond_int64(setups, name, deepest):
+    # a cell index has depth * dim bits; past 62 it used to wrap around
+    # and merge cells into a silently wrong loss
+    setup = setups[name]
+    m, d = setup.pmap, setup.density
+    sw = partition_sweep(m, d, [deepest], 2_000, 1)
+    assert sw.depths == (deepest,) and math.isfinite(sw.losses_bits[0])
+    with pytest.raises(ValueError, match="depth \\* dim"):
+        partition_sweep(m, d, [0, deepest + 1], 2_000, 1)
+
+
 # --- quadrature --------------------------------------------------------------------
 
 def test_quadrature_dimension_guard():

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from infoloss import cli, loss
+from infoloss import cli, loss, transform
 from infoloss.bounds import bounds_report
 from infoloss.classify import classify
 from infoloss.numerics import CHUNK_SIZE, chunk_plan
@@ -95,3 +95,21 @@ def test_selectors_build_only_the_stages_they_read(setups, monkeypatch, run,
     assert chunks
     for ch in chunks:
         assert STAGES & set(vars(ch)) == built
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["ex3_exp_sawtooth", "ex1_fold_square",
+                                  "ex6_m1"])
+def test_report_bytes_do_not_depend_on_tile_or_block_sizes(setups, monkeypatch,
+                                                          name, workers):
+    # sweep tiles of 7 columns and one family member per evaluation give
+    # the bytes of the default sizes; at n = 5000 the default sweep walks
+    # two tiles, and the quadrature's 8 rows take 64 members per block
+    setup = setups[name]
+    a = setup.analysis
+    n = 5000
+    default = _bytes(cli.build_report(setup, n, SEED, NODES, a.depths, workers))
+    monkeypatch.setattr(loss, "_SWEEP_TILE", 7)
+    monkeypatch.setattr(transform, "_MEMBER_BLOCK", 1)
+    assert _bytes(cli.build_report(setup, n, SEED, NODES, a.depths,
+                                   workers)) == default
