@@ -6,13 +6,18 @@ For each shipped preset this runs
 
 at ``--workers 1`` and ``2`` (``--n 300000 --seed 5`` by default) in a
 fresh interpreter on this checkout's ``src/`` and prints the first 16
-hex digits of the sha256 of its stdout, one preset a line:
+hex digits of the sha256 of its stdout, and of the same report with
+every standard error masked, one preset a line:
 
-    <preset> <digest at workers 1> <digest at workers 2>
+    <preset> <digest at workers 1> <digest at workers 2> <masked at 1> <masked at 2>
 
-A change that must keep the report's bytes prints the same table before
-and after.  Exits 1 if a report fails or if the two worker counts give
-different bytes for some preset.
+The masked report replaces each number under a key that contains
+``stderr`` (``stderr_bits``, ``h_Y_stderr``, ``stderrs``,
+``stderrs_bits``, ...) with null and is printed as the CLI prints a
+report.  A change that must keep the report's bytes prints the same
+table before and after; a change that may move only standard errors
+keeps the masked columns.  Exits 1 if a report fails or if the two
+worker counts give different bytes for some preset.
 
     python3 scripts/report_digests.py [--n N] [--seed S]
 """
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,7 +43,25 @@ def presets() -> list[str]:
     return names
 
 
-def digest(name: str, n: int, seed: int, workers: int) -> str:
+def _short(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def mask_stderrs(obj, masked: bool = False):
+    """``obj`` with every number under a key containing ``stderr`` set
+    to None."""
+    if isinstance(obj, dict):
+        return {k: mask_stderrs(v, masked or "stderr" in k)
+                for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [mask_stderrs(v, masked) for v in obj]
+    if masked and isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return None
+    return obj
+
+
+def digest(name: str, n: int, seed: int, workers: int) -> tuple[str, str]:
+    """Digests of the report's stdout and of its stderr-masked form."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -48,7 +72,9 @@ def digest(name: str, n: int, seed: int, workers: int) -> str:
     if res.returncode != 0:
         sys.stderr.write(res.stderr.decode(errors="replace"))
         raise SystemExit(f"{name} --workers {workers}: exit {res.returncode}")
-    return hashlib.sha256(res.stdout).hexdigest()[:16]
+    masked = mask_stderrs(json.loads(res.stdout))
+    text = json.dumps(masked, sort_keys=True, indent=2) + "\n"
+    return _short(res.stdout), _short(text.encode())
 
 
 def main(argv=None) -> int:
@@ -58,9 +84,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     status = 0
     for name in presets():
-        row = [digest(name, args.n, args.seed, w) for w in WORKERS]
-        print(name, *row, flush=True)
-        if len(set(row)) != 1:
+        full, masked = zip(*(digest(name, args.n, args.seed, w)
+                             for w in WORKERS))
+        print(name, *full, *masked, flush=True)
+        if len(set(full)) != 1 or len(set(masked)) != 1:
             status = 1
     return status
 

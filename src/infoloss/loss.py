@@ -46,8 +46,10 @@ from .numerics import (
     CHUNK_SIZE,
     MCResult,
     RunningStat,
+    TILE_COLUMNS,
     chunk_moments,
     chunk_plan,
+    column_tiles,
     derived_seed,
     run_chunks,
     tensor_quadrature,
@@ -73,7 +75,7 @@ __all__ = [
 _CLASSIFY_N = 100_000
 # a sweep cell index has depth * dim bits and must fit an int64
 MAX_DEPTH_BITS = 62
-_SWEEP_TILE = 4096  # table columns (sample rows) per sweep tile; >= 2
+_SWEEP_TILE = TILE_COLUMNS  # table columns (sample rows) per sweep tile
 
 
 @dataclass(frozen=True)
@@ -241,34 +243,61 @@ def _cardinality(ch: _Chunk):
             int(card.max()), _code_counts(ch))
 
 
+def _dyadic_cells(u: np.ndarray, depths: Sequence[int]):
+    """Yield, for each depth d of ``depths``, the int64 index of the
+    dyadic cell of side 2**-d holding each point of ``u`` (..., N), the
+    points scaled to the unit box: per axis floor(u * 2**d) clipped to
+    [0, 2**d - 1], that bound rounded to float64 as ``np.clip`` takes
+    it, combined axis by axis as cell * 2**d + axis.
+
+    Each axis is scaled, floored and clipped once, at the deepest depth
+    D, clipping at 2**D; depth d is then that index shifted right by
+    D - d.  Scaling by a power of two is exact and floor(floor(2**s z) /
+    2**s) = floor(z), so the shift gives the per-depth index, except
+    that u >= 1 shifts to 2**d, which the per-depth clip bound caps.
+    ``u`` must be finite.  Every yielded array is new.
+    """
+    deepest = max(depths, default=0)
+    top = float(1 << deepest)
+    axes = []
+    for dd in range(u.shape[-1]):
+        a = np.floor(u[..., dd] * top)
+        axes.append(np.clip(a, 0.0, top, out=a).astype(np.int64))
+    edge = bool(np.any(u >= 1.0))
+    for depth in depths:
+        ncells = 1 << depth
+        cap = int(float(ncells - 1))
+        cell = None
+        for a in axes:
+            c = a >> (deepest - depth)
+            if edge:
+                np.minimum(c, cap, out=c)
+            if cell is None:
+                cell = c
+            else:
+                cell *= ncells
+                cell += c
+        yield cell
+
+
 def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
     """Quantized-input entropy per row at each depth, walking the slot
-    table in column tiles of ``_SWEEP_TILE`` sample rows so that one tile's
-    working set is reused by every depth while it is in cache.  A last
-    tile of one column joins the tile before it: numpy sums a one-column
-    table pairwise, not slot by slot (see ``_grouped_entropy_bits``)."""
+    table in the column tiles of ``column_tiles`` (``_SWEEP_TILE`` sample
+    rows) so that one tile's working set is reused by every depth while
+    it is in cache.  Per tile the cells of every depth come from one
+    scaling at the deepest depth (``_dyadic_cells``), and the posterior
+    weights are normalized once."""
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
-    rows = t.f_y.shape[0]
-    edges = [*range(0, rows, _SWEEP_TILE), rows]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    h = np.empty((len(depths), rows))
-    for c0, c1 in zip(edges, edges[1:]):
-        cols = slice(c0, c1)
+    h = np.empty((len(depths), t.f_y.shape[0]))
+    for cols in column_tiles(t.f_y.shape[0], _SWEEP_TILE):
         u = (t.x[:, cols] - lo) / (hi - lo)
-        valid = np.ascontiguousarray(t.valid[:, cols])
-        weight = np.ascontiguousarray(t.weight[:, cols])
-        for j, depth in enumerate(depths):
-            ncells = 1 << depth
-            axes = np.floor(u * ncells)
-            axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
-            cell = axes[..., 0]
-            for dd in range(1, ch.m.dim):
-                cell = cell * ncells + axes[..., dd]
-            cell = np.where(valid, cell, -1)
-            h[j, cols] = _grouped_entropy_bits(cell, weight, t.f_y[cols])
+        invalid = ~t.valid[:, cols]
+        wn = t.weight[:, cols] / np.maximum(t.f_y[cols], 1e-300)
+        for j, cell in enumerate(_dyadic_cells(u, depths)):
+            np.copyto(cell, -1, where=invalid)
+            h[j, cols] = _grouped_entropy_bits(cell, wn)
     return tuple(chunk_moments(np.where(ch.ok, hj, 0.0)) for hj in h)
 
 
@@ -508,11 +537,14 @@ def _accumulate_rows(op, a: np.ndarray, reverse: bool = False) -> np.ndarray:
 
 
 def _grouped_entropy_bits(cells: np.ndarray, w: np.ndarray,
-                          f_y: np.ndarray) -> np.ndarray:
+                          f_y: Optional[np.ndarray] = None) -> np.ndarray:
     """Entropy per row of posterior weights aggregated over equal cells.
 
     cells: (S, m) int codes (-1 for invalid slots, whose weight is 0);
-    w: (S, m) unnormalized weights; f_y: (m,) their column sums.
+    w: (S, m) unnormalized weights with f_y: (m,) their column sums, or,
+    with ``f_y`` None, weights already normalized as
+    ``w / np.maximum(f_y, 1e-300)`` (the sweep normalizes a tile once for
+    all its depths).  ``w`` is not written to.
 
     Arithmetic contract, which the report's bytes depend on and any
     other kernel must keep: the slots of each column are taken in their
@@ -532,7 +564,7 @@ def _grouped_entropy_bits(cells: np.ndarray, w: np.ndarray,
     """
     if cells.shape[0] == 0:
         return np.zeros(cells.shape[1])
-    wn = w / np.maximum(f_y, 1e-300)
+    wn = w if f_y is None else w / np.maximum(f_y, 1e-300)
     if np.all(cells[1:] >= cells[:-1]):
         # every column in order: the stable sort order is the identity
         c, ww = cells, wn

@@ -34,10 +34,13 @@ __all__ = [
     "row_max",
     "row_all",
     "row_prod",
+    "TILE_COLUMNS",
+    "column_tiles",
     "tensor_quadrature",
 ]
 
 CHUNK_SIZE = 1 << 16
+TILE_COLUMNS = 4096  # table columns (sample rows) per cache-sized tile; >= 2
 _MASK64 = (1 << 64) - 1
 
 
@@ -131,6 +134,20 @@ def row_prod(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[1]):
         np.multiply(out, a[:, j], out=out)
     return out
+
+
+def column_tiles(width: int, tile: int = TILE_COLUMNS) -> list[slice]:
+    """Slices of ``tile`` columns covering a table ``width`` columns wide.
+
+    A last tile of one column joins the tile before it: numpy sums the
+    rows of a one-column table pairwise, not one at a time, so a
+    one-column tile cut from a wider table would round differently from
+    it (a one-column table of its own is summed pairwise either way).
+    """
+    edges = [*range(0, width, tile), width]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def chunk_plan(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:

@@ -25,6 +25,13 @@ the running sum in order; the members after the stop are dropped, and
 only the members kept are checked for a singular Jacobian, so the table
 and the first error raised are those of a one-member-at-a-time walk.
 
+The table is written once: its arrays are allocated at their capacity
+(one slot per branch, plus ``k_max`` or the member range, whichever is
+smaller, per family), each part writes its slots, or a family its
+member blocks, straight into the next free rows, and the table's fields
+are views of the rows written.  After the build only the duplicate
+merge writes to them.
+
 Everything here is built on one vectorized candidate table so the Monte
 Carlo and quadrature engines share the exact code path of the scalar
 operations.
@@ -48,7 +55,7 @@ from .model import (
     PartRef,
     PiecewiseMap,
 )
-from .numerics import row_all, row_max
+from .numerics import column_tiles, row_all, row_max
 
 __all__ = [
     "PreimageElement",
@@ -95,6 +102,9 @@ class CandidateTable:
     ``weight`` is f_X/|det J| (zero where invalid), ``code`` a unique
     integer subdomain id, ``f_y`` the summed output density, and
     ``truncated`` marks rows whose family enumeration was cut short.
+    The slot arrays are leading ``[:S]`` views of buffers allocated at
+    the table's capacity; after ``build_candidates`` has written the
+    slots, only its duplicate merge writes to them.
     """
 
     x: np.ndarray          # (S, m, N)
@@ -120,97 +130,127 @@ def _check_jacobian(xc: np.ndarray, jac: np.ndarray, bad: np.ndarray):
 
 
 def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
-                   y: np.ndarray, ks: Optional[np.ndarray], tol: float):
-    """Candidate, validity, density, Jacobian and singular-Jacobian mask
-    of one part as (slots, rows[, N]) arrays: one slot for a branch
-    (``ks`` None), one per member of the family block ``ks``.  A block's
-    rows are evaluated in one pass, member-major, with ``k`` bound per
-    row; the caller raises for singular rows of the slots it keeps."""
+                   y: np.ndarray, ks: Optional[np.ndarray], y_tol: np.ndarray,
+                   out: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Evaluate one part at the query rows ``y`` and write the candidate,
+    validity, density and Jacobian into ``out`` = (x, valid, weight, jac),
+    table rows of shape (n, N), (n,), (n,), (n,): one slot for a branch
+    (``ks`` None), one per member of the family block ``ks``, member-major
+    with ``k`` bound per row.  Returns the singular-Jacobian mask; the
+    caller raises for the singular rows of the slots it keeps."""
     p = m.parts[part_index]
-    rows = y.shape[0]
-    slots = 1 if ks is None else ks.size
-    yb = y if slots == 1 else np.tile(y, (slots, 1))
-    n = yb.shape[0]
+    xc, valid, weight, jac = out
+    rows, n = y.shape[0], xc.shape[0]
+    yb = y if n == rows else np.tile(y, (n // rows, 1))
     binding = {f"y{dd + 1}": yb[:, dd] for dd in range(m.dim)}
     karr = kb = None
-    if ks is not None:
+    if ks is None:
+        region = p.region
+    else:
         karr = np.repeat(ks.astype(float), rows)
         # one member binds k to its inverse and region as a number: the
         # same values, without an array pass per operation on k
-        kb = karr if slots > 1 else float(ks[0])
+        kb = karr if ks.size > 1 else float(ks[0])
         binding["k"] = kb
-    xc = np.column_stack([
-        np.broadcast_to(eval_array(inv, binding), (n,))
-        for inv in p.inverse]).astype(float)
+        region = p.member_region(kb)
+    for dd, inv in enumerate(p.inverse):
+        xc[:, dd] = eval_array(inv, binding)
     finite = row_all(np.isfinite(xc))
-    xc = np.where(finite[:, None], xc, 0.0)
+    np.copyto(xc, 0.0, where=~finite[:, None])
 
-    if ks is None:
-        in_region = p.region.contains_batch(xc)
-    else:
-        in_region = p.member_region(kb).contains_batch(xc)
+    in_region = region.contains_batch(xc)
     fx = d.pdf_batch(xc)
 
     xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
     if karr is not None:
         xbind["k"] = karr
-    y_back = np.column_stack([
-        np.broadcast_to(eval_array(fe, xbind), (n,))
-        for fe in p.forward])
     # a singular row's weight may divide by zero: it is never kept
     with np.errstate(invalid="ignore", divide="ignore"):
-        maps_back = row_max(np.abs(y_back - yb)) <= tol * (
-            1.0 + row_max(np.abs(yb)))
-        maps_back &= row_all(np.isfinite(y_back))
+        # the map-back test |g(x) - y| <= tol (1 + |y|) in the max norm,
+        # folded over the output coordinates as ``row_max`` folds them
+        for dd, fe in enumerate(p.forward):
+            y_back = np.broadcast_to(eval_array(fe, xbind), (n,))
+            dev_dd = np.abs(y_back - yb[:, dd])
+            if dd == 0:
+                dev, back_finite = dev_dd, np.isfinite(y_back)
+            else:
+                np.maximum(dev, dev_dd, out=dev)
+                back_finite &= np.isfinite(y_back)
 
-        valid = finite & in_region & (fx > 0.0) & maps_back
-        jac = m.part_jac(part_index, xc, karr)
+        np.logical_and(finite, in_region, out=valid)
+        valid &= fx > 0.0
+        valid &= dev <= (y_tol if n == rows else np.tile(y_tol, n // rows))
+        valid &= back_finite
+        jac[:] = m.part_jac(part_index, xc, karr)
         bad = valid & ~(jac > JAC_SINGULAR_TOL)
-        jac = np.where(valid, jac, 1.0)
-        weight = np.where(valid, fx / jac, 0.0)
-    return (xc.reshape(slots, rows, m.dim), valid.reshape(slots, rows),
-            weight.reshape(slots, rows), jac.reshape(slots, rows),
-            bad.reshape(slots, rows))
+        invalid = ~valid
+        np.copyto(jac, 1.0, where=invalid)
+        np.divide(fx, jac, out=weight)
+        np.copyto(weight, 0.0, where=invalid)
+    return bad
 
 
 def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
-                  y: np.ndarray, tol: float, k_max: int):
-    """Members k_lo, k_lo + 1, ... of one family as table slots
-    (x, valid, weight, jac, part index, k), and whether the enumeration
+                  y: np.ndarray, y_tol: np.ndarray, k_max: int,
+                  table: tuple[np.ndarray, ...], pos: int) -> tuple[int, bool]:
+    """Write members k_lo, k_lo + 1, ... of one family into the rows
+    ``pos``, ``pos + 1``, ... of ``table`` = (x, valid, weight, jac).
+    Returns how many members are kept and whether the enumeration
     stopped before the member range ended.  Members are evaluated in
     blocks of ``_MEMBER_BLOCK // rows``; the stop rule then walks the
-    block one member at a time and drops the members after the stop."""
+    block one member at a time, and the rows of the members after the
+    stop are left for the next part to overwrite."""
     p = m.parts[part_index]
+    x, valid, weight, jac = table
     rows = y.shape[0]
     block = max(1, _MEMBER_BLOCK // rows)
-    slots = []
     running = np.zeros(rows)
     any_valid_seen = False
     small_streak = 0
     k = p.k_lo
+    kept = 0
     while p.k_hi is None or k <= p.k_hi:
-        count = min(block, k_max - len(slots))
+        count = min(block, k_max - kept)
         if p.k_hi is not None:
             count = min(count, p.k_hi - k + 1)
         if count <= 0:
-            return slots, True  # k_max reached: member k was not examined
-        xc, valid, weight, jac, bad = _slot_for_part(
-            m, d, part_index, y, np.arange(k, k + count), tol)
+            return kept, True  # k_max reached: member k was not examined
+        s0 = pos + kept
+        blk = slice(s0, s0 + count)
+        bad = _slot_for_part(
+            m, d, part_index, y, np.arange(k, k + count), y_tol,
+            (x[blk].reshape(-1, m.dim), valid[blk].reshape(-1),
+             weight[blk].reshape(-1), jac[blk].reshape(-1)))
         for j in range(count):
-            _check_jacobian(xc[j], jac[j], bad[j])
-            slots.append((xc[j], valid[j], weight[j], jac[j], part_index,
-                          k + j))
-            running += weight[j]
-            if np.any(valid[j]):
+            s = s0 + j
+            _check_jacobian(x[s], jac[s], bad[j * rows:(j + 1) * rows])
+            kept += 1
+            running += weight[s]
+            if np.any(valid[s]):
                 any_valid_seen = True
             if any_valid_seen:
                 tiny = np.all(
-                    weight[j] <= _TAIL_REL * np.maximum(running, 1e-300))
+                    weight[s] <= _TAIL_REL * np.maximum(running, 1e-300))
                 small_streak = small_streak + 1 if tiny else 0
                 if small_streak >= 2:
-                    return slots, p.k_hi is None or k + j < p.k_hi
+                    return kept, p.k_hi is None or k + j < p.k_hi
         k += count
-    return slots, False
+    return kept, False
+
+
+def _slot_capacity(m: PiecewiseMap, k_max: int) -> int:
+    """Table rows the build may write: one per branch, and per family
+    ``k_max`` or its member range, whichever is smaller."""
+    cap = 0
+    for p in m.parts:
+        if p.kind != "bijective":
+            continue
+        if isinstance(p, Branch):
+            cap += 1
+        else:
+            span = k_max if p.k_hi is None else min(k_max, p.k_hi - p.k_lo + 1)
+            cap += max(span, 0)
+    return cap
 
 
 def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
@@ -224,45 +264,41 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     rows = y.shape[0]
-    slots = []  # (x, valid, weight, jac, part index, k) per slot
+    y_tol = tol * (1.0 + row_max(np.abs(y)))  # map-back tolerance per row
+    cap = _slot_capacity(m, k_max)
+    x = np.empty((cap, rows, m.dim))
+    valid = np.empty((cap, rows), dtype=bool)
+    weight = np.empty((cap, rows))
+    jac = np.empty((cap, rows))
+    slot_part: list[int] = []  # part index per slot
+    slot_k: list[int] = []     # family member per slot, 0 for a branch
     truncated = np.zeros(rows, dtype=bool)
 
     for i, p in enumerate(m.parts):
         if p.kind != "bijective":
             continue
+        S = len(slot_part)
         if isinstance(p, Branch):
-            xc, valid, weight, jac, bad = _slot_for_part(m, d, i, y, None, tol)
-            _check_jacobian(xc[0], jac[0], bad[0])
-            slots.append((xc[0], valid[0], weight[0], jac[0], i, 0))
+            bad = _slot_for_part(m, d, i, y, None, y_tol,
+                                 (x[S], valid[S], weight[S], jac[S]))
+            _check_jacobian(x[S], jac[S], bad)
+            slot_part.append(i)
+            slot_k.append(0)
             continue
-        members, cut = _family_slots(m, d, i, y, tol, k_max)
-        slots += members
+        kept, cut = _family_slots(m, d, i, y, y_tol, k_max,
+                                  (x, valid, weight, jac), S)
+        slot_part += [i] * kept
+        slot_k += range(p.k_lo, p.k_lo + kept)
         if cut:
             truncated |= True
-
-    if not slots:
-        # no bijective parts at all (for example a pure quantizer)
-        return CandidateTable(
-            x=np.zeros((0, rows, m.dim)), valid=np.zeros((0, rows), dtype=bool),
-            weight=np.zeros((0, rows)), jac=np.ones((0, rows)),
-            code=np.zeros(0, dtype=np.int64),
-            part_of_slot=np.zeros(0, dtype=np.int64),
-            k_of_slot=np.zeros(0, dtype=np.int64),
-            f_y=np.zeros(rows), truncated=truncated)
-
-    xs, valids, weights, jacs, slot_part, slot_k = zip(*slots)
-    x = np.stack(xs)
-    valid = np.stack(valids)
-    weight = np.stack(weights)
-    jac = np.stack(jacs)
-    part_arr = np.asarray(slot_part, dtype=np.int64)
+    S = len(slot_part)
+    x, valid, weight, jac = x[:S], valid[:S], weight[:S], jac[:S]
 
     # merge duplicates produced by different parts (shared boundaries);
     # members of one family are disjoint by the model invariant
-    S = x.shape[0]
     for a in range(S):
         for b in range(a + 1, S):
-            if part_arr[a] == part_arr[b]:
+            if slot_part[a] == slot_part[b]:
                 continue
             both = valid[a] & valid[b]
             if not np.any(both):
@@ -277,7 +313,7 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
         x=x, valid=valid, weight=weight, jac=jac,
         code=np.asarray([m.part_code(i, k) for i, k in zip(slot_part, slot_k)],
                         dtype=np.int64),
-        part_of_slot=part_arr,
+        part_of_slot=np.asarray(slot_part, dtype=np.int64),
         k_of_slot=np.asarray(slot_k, dtype=np.int64),
         f_y=weight.sum(axis=0), truncated=truncated)
 
@@ -329,8 +365,25 @@ def posterior_entropy_bits(table: CandidateTable) -> np.ndarray:
     """Shannon entropy (bits) of the preimage posterior, per batch row.
 
     Rows with zero output density get entropy 0 (nothing to condition on).
+    The table is walked in the column tiles of ``column_tiles`` through
+    two reused buffers; per row the slots' terms are summed one at a
+    time, as over the full width.
     """
+    weight, f_y = table.weight, table.f_y
+    slots, rows = weight.shape
+    tiles = column_tiles(rows)
+    h = np.empty(rows)
+    size = slots * max((c.stop - c.start for c in tiles), default=0)
+    p_buf, term_buf = np.empty(size), np.empty(size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = table.weight / np.maximum(table.f_y, 1e-300)
-        plogp = np.where(p > 0.0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
-    return -plogp.sum(axis=0)
+        for cols in tiles:
+            shape = (slots, cols.stop - cols.start)
+            p = p_buf[:shape[0] * shape[1]].reshape(shape)
+            term = term_buf[:p.size].reshape(shape)
+            np.divide(weight[:, cols], np.maximum(f_y[cols], 1e-300), out=p)
+            # p * log2 p, 0 where p is not positive
+            np.log2(np.maximum(p, 1e-300, out=term), out=term)
+            np.multiply(p, term, out=term)
+            np.copyto(term, 0.0, where=~(p > 0.0))
+            h[cols] = -term.sum(axis=0)
+    return h

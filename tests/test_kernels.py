@@ -18,8 +18,10 @@ from hypothesis.extra import numpy as hnp
 from infoloss import loss, transform
 from infoloss.config import load_config, preset_path
 from infoloss.errors import SingularJacobianError
+from infoloss.exprlang import eval_array
 from infoloss.loss import _grouped_entropy_bits
-from infoloss.numerics import row_all, row_max, row_prod
+from infoloss.model import JAC_SINGULAR_TOL, Branch
+from infoloss.numerics import TILE_COLUMNS, row_all, row_max, row_prod
 
 
 def reference_grouped_entropy_bits(cells, w, f_y):
@@ -308,3 +310,304 @@ def test_member_blocks_match_one_member_at_a_time(rows, family, k_max):
         # the member range runs out at k_max = 5 without a cut
         assert not expected.truncated.any() and expected.x.shape[0] == 5
 
+
+
+# --- the write-once candidate table ------------------------------------------------
+
+def _reference_slot(m, d, part_index, y, ks, tol):
+    """One part's slots as the stack-based builder made them: fresh
+    (slots, rows[, N]) arrays per part or member block."""
+    p = m.parts[part_index]
+    rows = y.shape[0]
+    slots = 1 if ks is None else ks.size
+    yb = y if slots == 1 else np.tile(y, (slots, 1))
+    n = yb.shape[0]
+    binding = {f"y{dd + 1}": yb[:, dd] for dd in range(m.dim)}
+    karr = kb = None
+    if ks is not None:
+        karr = np.repeat(ks.astype(float), rows)
+        kb = karr if slots > 1 else float(ks[0])
+        binding["k"] = kb
+    xc = np.column_stack([np.broadcast_to(eval_array(inv, binding), (n,))
+                          for inv in p.inverse]).astype(float)
+    finite = row_all(np.isfinite(xc))
+    xc = np.where(finite[:, None], xc, 0.0)
+    region = p.region if ks is None else p.member_region(kb)
+    in_region = region.contains_batch(xc)
+    fx = d.pdf_batch(xc)
+    xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
+    if karr is not None:
+        xbind["k"] = karr
+    y_back = np.column_stack([np.broadcast_to(eval_array(fe, xbind), (n,))
+                              for fe in p.forward])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        maps_back = row_max(np.abs(y_back - yb)) <= tol * (
+            1.0 + row_max(np.abs(yb)))
+        maps_back &= row_all(np.isfinite(y_back))
+        valid = finite & in_region & (fx > 0.0) & maps_back
+        jac = m.part_jac(part_index, xc, karr)
+        bad = valid & ~(jac > JAC_SINGULAR_TOL)
+        jac = np.where(valid, jac, 1.0)
+        weight = np.where(valid, fx / jac, 0.0)
+    return (xc.reshape(slots, rows, m.dim), valid.reshape(slots, rows),
+            weight.reshape(slots, rows), jac.reshape(slots, rows),
+            bad.reshape(slots, rows))
+
+
+def _reference_family(m, d, part_index, y, tol, k_max, member_block):
+    p = m.parts[part_index]
+    rows = y.shape[0]
+    block = max(1, member_block // rows)
+    slots = []
+    running = np.zeros(rows)
+    any_valid_seen = False
+    small_streak = 0
+    k = p.k_lo
+    while p.k_hi is None or k <= p.k_hi:
+        count = min(block, k_max - len(slots))
+        if p.k_hi is not None:
+            count = min(count, p.k_hi - k + 1)
+        if count <= 0:
+            return slots, True
+        xc, valid, weight, jac, bad = _reference_slot(
+            m, d, part_index, y, np.arange(k, k + count), tol)
+        for j in range(count):
+            transform._check_jacobian(xc[j], jac[j], bad[j])
+            slots.append((xc[j], valid[j], weight[j], jac[j], part_index,
+                          k + j))
+            running += weight[j]
+            if np.any(valid[j]):
+                any_valid_seen = True
+            if any_valid_seen:
+                tiny = np.all(weight[j] <= transform._TAIL_REL
+                              * np.maximum(running, 1e-300))
+                small_streak = small_streak + 1 if tiny else 0
+                if small_streak >= 2:
+                    return slots, p.k_hi is None or k + j < p.k_hi
+        k += count
+    return slots, False
+
+
+def reference_build_candidates(m, d, y, tol, k_max, member_block):
+    """The candidate table as the stack-based builder made it: per-slot
+    arrays collected in a list, then copied into the table with
+    ``np.stack``."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    rows = y.shape[0]
+    slots = []
+    truncated = np.zeros(rows, dtype=bool)
+    for i, p in enumerate(m.parts):
+        if p.kind != "bijective":
+            continue
+        if isinstance(p, Branch):
+            xc, valid, weight, jac, bad = _reference_slot(m, d, i, y, None, tol)
+            transform._check_jacobian(xc[0], jac[0], bad[0])
+            slots.append((xc[0], valid[0], weight[0], jac[0], i, 0))
+            continue
+        members, cut = _reference_family(m, d, i, y, tol, k_max, member_block)
+        slots += members
+        if cut:
+            truncated |= True
+    if not slots:
+        return transform.CandidateTable(
+            x=np.zeros((0, rows, m.dim)), valid=np.zeros((0, rows), dtype=bool),
+            weight=np.zeros((0, rows)), jac=np.ones((0, rows)),
+            code=np.zeros(0, dtype=np.int64),
+            part_of_slot=np.zeros(0, dtype=np.int64),
+            k_of_slot=np.zeros(0, dtype=np.int64),
+            f_y=np.zeros(rows), truncated=truncated)
+    xs, valids, weights, jacs, slot_part, slot_k = zip(*slots)
+    x, valid = np.stack(xs), np.stack(valids)
+    weight, jac = np.stack(weights), np.stack(jacs)
+    part_arr = np.asarray(slot_part, dtype=np.int64)
+    S = x.shape[0]
+    for a in range(S):
+        for b in range(a + 1, S):
+            if part_arr[a] == part_arr[b]:
+                continue
+            both = valid[a] & valid[b]
+            if not np.any(both):
+                continue
+            close = row_max(np.abs(x[a] - x[b])) <= tol * (
+                1.0 + row_max(np.abs(x[a])))
+            dup = both & close
+            valid[b] &= ~dup
+            weight[b] = np.where(dup, 0.0, weight[b])
+    return transform.CandidateTable(
+        x=x, valid=valid, weight=weight, jac=jac,
+        code=np.asarray([m.part_code(i, k) for i, k in zip(slot_part, slot_k)],
+                        dtype=np.int64),
+        part_of_slot=part_arr, k_of_slot=np.asarray(slot_k, dtype=np.int64),
+        f_y=weight.sum(axis=0), truncated=truncated)
+
+
+def _fold_doc(**jacs):
+    doc = json.loads(preset_path("ex1_fold_square").read_text())
+    for part in doc["parts"]:
+        if part["name"] in jacs:
+            part["jac_abs_det"] = jacs[part["name"]]
+    return doc
+
+
+def _fold_points(rows):
+    """Fold outputs (x1, |x1 - x2|); every third row sits on or within
+    the tolerance of the shared diagonal, where both branches give the
+    same preimage and the merge must drop one of them."""
+    rng = np.random.default_rng(rows)
+    y = np.column_stack([rng.uniform(-2.5, 2.5, rows), rng.uniform(-0.5, 4.5, rows)])
+    y[::3, 1] = rng.choice([0.0, 1e-12, 3e-10, 1e-7], size=y[::3].shape[0])
+    y[0] = (0.5, 1e-12)
+    return y
+
+
+_BUILD_CASES = {
+    # name: (config doc, query points, k_max)
+    "fold_merge": (lambda: _fold_doc(), _fold_points, 64),
+    "fold_jacobian": (  # invalid rows must read |det J| = 1
+        lambda: _fold_doc(below_diagonal="3 + x1", above_diagonal="3 - x2"),
+        _fold_points, 64),
+    "fold_singular_order": (
+        lambda: _fold_doc(below_diagonal="abs(x1 - 0.5)",
+                          above_diagonal="abs(x2 - 1.25)"),
+        lambda rows: np.tile([[1.0, 0.25], [0.5, 1.0], [0.5, 0.75]], (rows, 1)),
+        64),
+    "sawtooth": (lambda: _sawtooth_doc(), _query_points, 64),
+    "sawtooth_k_max_cut": (lambda: _sawtooth_doc(), _query_points, 3),
+    "sawtooth_singular_member": (
+        lambda: _sawtooth_doc(jac_abs_det="abs(k - 3)"), _query_points, 64),
+}
+
+
+@pytest.mark.parametrize("member_block", [1, transform._MEMBER_BLOCK])
+@pytest.mark.parametrize("rows", [1, 37, 5000])
+@pytest.mark.parametrize("case", list(_BUILD_CASES))
+def test_build_candidates_matches_the_stacked_builder(case, rows, member_block):
+    doc, points, k_max = _BUILD_CASES[case]
+    setup = load_config(doc())
+    m, d = setup.pmap, setup.density
+    y = points(rows)
+    with patch.object(transform, "_MEMBER_BLOCK", member_block):
+        got = _table_or_error(m, d, y, k_max)
+    try:
+        expected = reference_build_candidates(m, d, y, transform.DEFAULT_TOL,
+                                              k_max, member_block)
+    except SingularJacobianError as err:
+        expected = err
+    _assert_same(got, expected)
+    if case == "fold_merge":
+        # row 0 lies 1e-12 off the diagonal: both branches map it back,
+        # and the merge keeps the first
+        assert expected.valid[0, 0] and not expected.valid[1, 0]
+    elif case == "fold_singular_order":
+        # branch 0 is singular at row 1, branch 1 at row 0: the first
+        # part's error comes first
+        assert isinstance(expected, SingularJacobianError)
+        assert np.asarray(expected.x).tolist() == [0.5, -0.5]
+    elif case == "sawtooth_k_max_cut":
+        assert expected.truncated.all() and expected.x.shape[0] == 3
+    elif case == "sawtooth_singular_member":
+        assert isinstance(expected, SingularJacobianError)
+    else:
+        assert not isinstance(got, SingularJacobianError)
+        assert got.x.shape[0] == got.code.shape[0]
+
+
+# --- tiled posterior entropy ----------------------------------------------------------
+
+def reference_posterior_entropy_bits(table):
+    """The full-width posterior entropy: one temporary per step."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = table.weight / np.maximum(table.f_y, 1e-300)
+        plogp = np.where(p > 0.0, p * np.log2(np.maximum(p, 1e-300)), 0.0)
+    return -plogp.sum(axis=0)
+
+
+@pytest.mark.parametrize("slots", [0, 1, 30])
+@pytest.mark.parametrize("extra", [None, -1, 0, 1, 17])
+def test_posterior_entropy_bits_at_tile_edges(slots, extra):
+    # a one-column tile cut from the table would be summed pairwise; on
+    # one column that rounds like the slot-by-slot sum about half the
+    # time, so several tables are checked
+    rows = 1 if extra is None else TILE_COLUMNS + extra
+    for seed in range(12):
+        rng = np.random.default_rng([rows, slots, seed])
+        w = rng.random((slots, rows)) ** 8 * 10.0 ** rng.integers(-300, 300, rows)
+        w[rng.random((slots, rows)) < 0.3] = 0.0
+        w[:, rng.random(rows) < 0.05] = 0.0  # rows off the image
+        table = SimpleNamespace(weight=w, f_y=w.sum(axis=0))
+        got = transform.posterior_entropy_bits(table)
+        expected = reference_posterior_entropy_bits(table)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_posterior_entropy_bits_on_a_sawtooth_chunk():
+    setup = load_config(_sawtooth_doc())
+    y = _query_points(3 * TILE_COLUMNS + 1)
+    table = transform.build_candidates(setup.pmap, setup.density, y)
+    assert transform.posterior_entropy_bits(table).tobytes() == \
+        reference_posterior_entropy_bits(table).tobytes()
+
+
+# --- sweep cells by shift ----------------------------------------------------------------
+
+def reference_cells(u, depth):
+    """The sweep's per-depth cell index: scale, floor, clip, cast."""
+    ncells = 1 << depth
+    axes = np.floor(u * ncells)
+    axes = np.clip(axes, 0, ncells - 1).astype(np.int64)
+    cell = axes[..., 0]
+    for dd in range(1, u.shape[-1]):
+        cell = cell * ncells + axes[..., dd]
+    return cell
+
+
+_CELL_SPECIALS = [0.0, -0.0, 1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52,
+                  5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                  -0.5, -1e300, 1.5, 2.0, 1e300, 0.5, 0.75]
+
+
+@st.composite
+def unit_points(draw):
+    """Scaled sweep coordinates (slots, rows, N) and depths with
+    depth * N <= 62: 0, 1, 1 - 2**-53, subnormals, values outside
+    [0, 1], dyadic points j / 2**e and their float neighbours."""
+    dim = draw(st.integers(1, 4))
+    depths = draw(st.lists(st.integers(0, 62 // dim), min_size=1, max_size=6))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), dim)
+
+    @st.composite
+    def dyadic(draw_):
+        e = draw_(st.integers(0, 62))
+        v = draw_(st.integers(0, 1 << e)) / float(1 << e)
+        step = draw_(st.sampled_from([0, 1, -1, 2, -2]))
+        for _ in range(abs(step)):
+            v = np.nextafter(v, np.inf if step > 0 else -np.inf)
+        return float(v)
+
+    u = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(_CELL_SPECIALS)
+                        | dyadic() | st.floats(-0.25, 1.25)))
+    return u, depths
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_points())
+def test_cells_by_shift_match_the_per_depth_cells(case):
+    u, depths = case
+    with np.errstate(over="ignore"):  # 1e300 * 2**d
+        got = list(loss._dyadic_cells(u, depths))
+        expected_cells = [reference_cells(u, depth) for depth in depths]
+    assert len(got) == len(depths)
+    for depth, cells, expected in zip(depths, got, expected_cells):
+        assert cells.dtype == expected.dtype and cells.shape == expected.shape
+        assert cells.tobytes() == expected.tobytes(), depth
+
+
+def test_cells_by_shift_at_the_deepest_depths():
+    # u >= 1 lands on the last cell below depth 54; from 54 on numpy's
+    # clip bound 2**d - 1 rounds up to 2**d, and the shift must agree
+    u = np.array([[[0.0], [1.0 - 2.0 ** -53], [1.0], [3.0], [1e300]]])
+    depths = [0, 1, 31, 53, 54, 61, 62]
+    with np.errstate(over="ignore"):  # 1e300 * 2**d
+        for depth, cells in zip(depths, loss._dyadic_cells(u, depths)):
+            assert cells.tobytes() == reference_cells(u, depth).tobytes(), depth
