@@ -90,9 +90,11 @@ def _plugin_entropy(counts: dict[int, int], n: int) -> tuple[float, float]:
     p = np.array([c / n for c in counts.values()])
     logp = np.log2(p)
     h = float(-(p * logp).sum())
-    # delta method: Var(H_hat) ~ Var(-log2 p(W)) / n
-    var = float((p * logp * logp).sum() - h * h)
-    return h, math.sqrt(max(var, 0.0) / n)
+    # delta method: Var(H_hat) ~ Var(-log2 p(W)) / n, taken about its
+    # mean h: E[x**2] - h**2 cancels when the index is nearly certain
+    dev = logp + h
+    var = float((p * dev * dev).sum())
+    return h, math.sqrt(var / n)
 
 
 def bounds_report(m: PiecewiseMap, d: InputDensity, n: int, seed: int,

@@ -62,43 +62,49 @@ class MCResult:
 
 
 class RunningStat:
-    """Per-chunk (sum, sum of squares, count) triples, merged exactly.
+    """Per-chunk (sum, M2, count) triples, merged exactly.
 
-    ``math.fsum`` is correctly rounded, so the merged result does not
-    depend on the order chunks are added in.
+    M2 is the chunk's sum of squared deviations from its own mean.  The
+    mean is ``fsum(sums) / n``; the variance is the merge of Chan, Golub
+    and LeVeque (1979), ``fsum`` over the chunks of
+    ``M2_c + n_c (mean_c - mean)**2``, over n - 1, which stays accurate
+    when the values sit far from zero (the sum of squares minus
+    n mean**2 cancels there).  ``math.fsum`` is correctly rounded, so
+    the merged result does not depend on the order chunks are added in.
     """
 
     def __init__(self):
-        self._sums: list[float] = []
-        self._sumsqs: list[float] = []
+        self._chunks: list[tuple[float, float, int]] = []
         self._n = 0
 
-    def add_moments(self, s: float, ss: float, n: int) -> None:
+    def add_moments(self, s: float, m2: float, n: int) -> None:
         """Merge one chunk's ``chunk_moments``."""
-        self._sums.append(s)
-        self._sumsqs.append(ss)
+        self._chunks.append((s, m2, n))
         self._n += n
 
     def result(self) -> MCResult:
         n = self._n
         if n == 0:
             return MCResult(math.nan, math.nan, 0)
-        s = math.fsum(self._sums)
-        ss = math.fsum(self._sumsqs)
-        mean = s / n
+        mean = math.fsum(s for s, _, _ in self._chunks) / n
         if n > 1:
-            var = max(0.0, (ss - n * mean * mean) / (n - 1))
-            stderr = math.sqrt(var / n)
+            m2 = math.fsum(term for s, m2_c, n_c in self._chunks if n_c
+                           for term in (m2_c, n_c * (s / n_c - mean) ** 2))
+            stderr = math.sqrt(m2 / (n - 1) / n)
         else:
             stderr = math.inf
         return MCResult(mean, stderr, n)
 
 
 def chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
-    """(sum, sum of squares, count) of one chunk's values, the part of a
-    chunk that ``RunningStat`` keeps."""
+    """(sum, sum of squared deviations from the chunk mean, count) of
+    one chunk's values, the part of a chunk that ``RunningStat`` keeps."""
     v = np.asarray(values, dtype=float)
-    return float(np.sum(v)), float(np.sum(v * v)), v.size
+    s = float(np.sum(v))
+    if v.size == 0:
+        return s, 0.0, 0
+    dev = v - s / v.size
+    return s, float(np.sum(dev * dev)), v.size
 
 
 def row_max(a: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoloss.errors import BoundViolationError, DimensionTooHighError
 from infoloss.geometry import Box
@@ -157,3 +159,54 @@ def test_running_stat_merges_chunk_moments_exactly():
     b.add_moments(*chunk_moments(np.concatenate(chunks)))
     assert a.result() == b.result()
     assert a.result().n == 138
+
+
+def _merged(chunks) -> MCResult:
+    stat = RunningStat()
+    for c in chunks:
+        stat.add_moments(*chunk_moments(c))
+    return stat.result()
+
+
+@st.composite
+def offset_chunks(draw):
+    """Values offset + sd * z split at random points into chunks: offsets
+    0 to 1e12, sd from 1e-9 to 1 of the offset (or of 1 at offset 0), so
+    the values sit up to 1e9 of their spread away from zero."""
+    offset = draw(st.sampled_from([0.0, 1.0, 1e6, 1e8, 1e12])
+                  | st.floats(0.0, 1e12))
+    ratio = 10.0 ** draw(st.floats(0.0, 9.0))  # max(offset, 1) / sd
+    n = draw(st.integers(2, 300))
+    z = np.random.default_rng(draw(st.integers(0, 2 ** 32))).normal(size=n)
+    values = offset + max(offset, 1.0) / ratio * z
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    return offset, ratio, np.split(values, cuts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_chunks())
+def test_running_stat_variance_far_from_zero(case):
+    offset, ratio, chunks = case
+    values = np.concatenate(chunks)
+    got = _merged(chunks)
+    assert got.n == values.size
+    assert got.mean == math.fsum(float(np.sum(c)) for c in chunks) / values.size
+    # x - offset is exact here, and the variance is shift invariant
+    truth = np.var(values - offset, ddof=1)
+    # the chunk means carry a few ulps of the offset, which moves the
+    # merged variance by a few hundred eps * offset / sd at most; the sum
+    # of squares minus n mean**2 loses eps * (offset / sd)**2
+    rel = 1e-12 + 256 * np.finfo(float).eps * ratio
+    assert got.stderr ** 2 * got.n == pytest.approx(truth, rel=rel, abs=0.0)
+    assert _merged(chunks[::-1]) == got
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_running_stat_stderr_of_offset_report_sized_chunks(offset):
+    # 16 chunks of 65,536 values with sd 1e-3: the sum of squares minus
+    # n mean**2 gave 1.1e-5 at 1e6 and 0.0 at 1e8 for a true 9.76e-7
+    rng = np.random.default_rng(6)
+    chunks = [offset + 1e-3 * rng.normal(size=1 << 16) for _ in range(16)]
+    values = np.concatenate(chunks)
+    truth = math.sqrt(np.var(values - offset, ddof=1) / values.size)
+    assert _merged(chunks).stderr == pytest.approx(truth, rel=1e-6)
