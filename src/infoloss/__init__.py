@@ -70,7 +70,6 @@ from .model import (
     PartRef,
     PiecewiseMap,
     ValidationReport,
-    branch_index,
     forward_eval,
     jac_abs_det_at,
     postcompose_affine,

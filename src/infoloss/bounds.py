@@ -22,21 +22,18 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import Classification, classify
-from .errors import InfiniteLossError
+from .classify import Classification, classify  # noqa: F401
 from .loss import CardinalityTally, estimate
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
-from .numerics import CHUNK_SIZE, derived_seed, run_chunks  # noqa: F401
+from .numerics import CHUNK_SIZE, run_chunks  # noqa: F401
 from .transform import DEFAULT_TOL, build_candidates  # noqa: F401
 
-# The chunk work runs in ``loss.estimate``.  run_chunks and
-# build_candidates stay bound here because the benchmark's layer tracer
-# (perfbench/tracer.py) rebinds them in every importing module and its
-# tests expect them in this one.
+# The chunk work and the Infinite gate run in ``loss.estimate``.
+# classify, run_chunks and build_candidates stay bound here because the
+# benchmark's layer tracer (perfbench/tracer.py) rebinds them in every
+# importing module and its tests expect them in this one.
 
 __all__ = ["BoundsReport", "bounds_report"]
-
-_CLASSIFY_N = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,14 +99,8 @@ def bounds_report(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                   chunk_size: int = CHUNK_SIZE, workers: int = 1,
                   classification: Optional[Classification] = None
                   ) -> BoundsReport:
-    """Sample x ~ f_X, count preimages of g(x), and tally subdomains."""
-    if classification is None:
-        classification = classify(m, d, _CLASSIFY_N, derived_seed(seed, 101))
-    if classification.verdict == "Infinite":
-        # cardinality counting under the bijective-branch enumeration would
-        # report misleading finite numbers for maps with atoms or collapses
-        raise InfiniteLossError(classification)
-
+    """Sample x ~ f_X, count preimages of g(x), and tally subdomains.
+    Raises :class:`InfiniteLossError` for a map classified Infinite."""
     tally = estimate(m, d, n, seed, ("bounds",), tol=tol, k_max=k_max,
                      chunk_size=chunk_size, workers=workers,
                      classification=classification)["bounds"]

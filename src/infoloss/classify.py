@@ -19,7 +19,7 @@ attempt is made to detect divergence numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,9 @@ class Classification:
     verdict: str                 # Finite | Infinite | Unknown
     reason: str                  # none | discrete_atom | rank_deficient_mass | mixed_limiter
     evidence: tuple[dict, ...]   # per non-bijective part: name, kind, mass, stderr
+    # the sample summary of ``_part_masses`` that the verdict was read
+    # from, which ``atom_scan`` reads instead of drawing it again
+    _sample: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "reason": self.reason,
@@ -54,14 +57,6 @@ def _part_masses(m: PiecewiseMap, d: InputDensity, n: int, seed: int):
     return masses, atom_rows
 
 
-# The sample summary of the last ``classify`` call, handed to the next
-# ``atom_scan`` call if that asks for the same (m, d, n, seed), as the
-# report and the classify command do: the two then read one sample.
-# It is taken at most once, so it never replaces a later draw; a miss
-# draws the same sample again, so the hand-off changes no result.
-_handoff = None
-
-
 def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
              seed: int = 0) -> Classification:
     """Estimate the probability mass of every non-bijective part and decide.
@@ -70,14 +65,12 @@ def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
     the Infinite verdict; all masses clearly at zero give Finite; the
     (practically unreachable) borderline gives Unknown.
     """
-    global _handoff
-    masses, atom_rows = _part_masses(m, d, n, seed)
-    _handoff = (m, d, n, seed, masses, atom_rows)
+    sample = _part_masses(m, d, n, seed)  # (masses, atom_rows)
     evidence = []
     infinite_kinds = []
     borderline = False
     bijective_mass = 0.0
-    for p, mass, stderr in masses:
+    for p, mass, stderr in sample[0]:
         if p.kind == "bijective":
             bijective_mass += mass
             continue
@@ -95,22 +88,26 @@ def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
             reason = "discrete_atom"
         else:
             reason = "rank_deficient_mass"
-        return Classification("Infinite", reason, tuple(evidence))
+        return Classification("Infinite", reason, tuple(evidence), sample)
     if borderline:
-        return Classification("Unknown", "none", tuple(evidence))
-    return Classification("Finite", "none", tuple(evidence))
+        return Classification("Unknown", "none", tuple(evidence), sample)
+    return Classification("Finite", "none", tuple(evidence), sample)
 
 
 def atom_scan(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
-              seed: int = 0, tol: float = 1e-9) -> list[tuple[tuple[float, ...], float]]:
+              seed: int = 0, tol: float = 1e-9,
+              classification: Classification | None = None
+              ) -> list[tuple[tuple[float, ...], float]]:
     """Output atoms: the constant output point of every positive-mass
     constant_point part, with its estimated probability mass.  Parts
-    mapping to the same point (within tol) are clustered."""
-    global _handoff
-    last, _handoff = _handoff, None
-    if (last is not None and last[0] is m and last[1] is d
-            and last[2:4] == (n, seed)):
-        masses, atom_rows = last[4:]
+    mapping to the same point (within tol) are clustered.
+
+    Given the ``classify(m, d, n, seed)`` result, the scan reads the
+    sample that verdict was read from instead of drawing it again; a
+    classification without its sample (built from its fields alone)
+    draws it."""
+    if classification is not None and classification._sample is not None:
+        masses, atom_rows = classification._sample
     else:
         masses, atom_rows = _part_masses(m, d, n, seed)
     atoms: list[tuple[np.ndarray, float]] = []

@@ -2,7 +2,7 @@
 
     infoloss <validate|loss|bounds|classify|sweep|report|presets>
              [path] [--n INT] [--seed U64] [--method NAME] [--nodes INT]
-             [--depths A:B] [--workers INT] [--out FMT]
+             [--depths A:B|A,B,...] [--workers INT] [--out FMT] [--timing]
 
 The path argument is a JSON config file or the name of a shipped preset
 (the INFOLOSS_PRESET_DIR environment variable overrides the preset
@@ -98,10 +98,12 @@ def cmd_validate(args) -> int:
 def cmd_classify(args) -> int:
     setup = _load(args)
     n, seed, _, _, _ = _analysis_overrides(setup, args)
-    c = classify(setup.pmap, setup.density, min(n, 200_000), seed)
+    n = min(n, 200_000)
+    c = classify(setup.pmap, setup.density, n, seed)
     out = c.to_dict()
     out["atoms"] = [{"y": list(y), "mass": mass} for y, mass in
-                    atom_scan(setup.pmap, setup.density, min(n, 200_000), seed)]
+                    atom_scan(setup.pmap, setup.density, n, seed,
+                              classification=c)]
     _emit(out)
     return EXIT_OK
 
@@ -131,8 +133,8 @@ def cmd_bounds(args) -> int:
     setup = _load(args)
     n, seed, _, _, workers = _analysis_overrides(setup, args)
     rep = bounds_report(setup.pmap, setup.density, n, seed,
-                                   tol=setup.analysis.tol,
-                                   k_max=setup.analysis.k_max, workers=workers)
+                        tol=setup.analysis.tol, k_max=setup.analysis.k_max,
+                        workers=workers)
     _emit(rep.to_dict())
     return EXIT_OK
 
@@ -164,7 +166,7 @@ def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
     if not vrep.ok:
         warnings.extend(vrep.failures)
     cls = classify(m, d, min(n, 200_000), seed)
-    atoms = atom_scan(m, d, min(n, 200_000), seed)
+    atoms = atom_scan(m, d, min(n, 200_000), seed, classification=cls)
     out = {
         "name": setup.name,
         "model_digest": setup.digest,
@@ -328,10 +330,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DimensionTooHighError as err:
+    except (ConfigError, DimensionTooHighError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except InfiniteLossError as err:

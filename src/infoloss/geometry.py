@@ -64,11 +64,8 @@ class Region:
     def contains(self, x) -> bool:
         return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
-    def contains_batch(self, x: np.ndarray,
-                       extra: dict | None = None) -> np.ndarray:
+    def contains_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         binding = {f"x{d + 1}": x[:, d] for d in range(x.shape[1])}
         binding.update(self.extra_binding)
-        if extra:
-            binding.update(extra)
         return np.asarray(exprlang.eval_array(self.predicate, binding)) != 0.0

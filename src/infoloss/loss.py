@@ -119,6 +119,8 @@ def _gate(m: PiecewiseMap, d: InputDensity, seed: int,
     if classification is None:
         classification = classify(m, d, _CLASSIFY_N, derived_seed(seed, 101))
     if classification.verdict == "Infinite":
+        # the estimators enumerate bijective branches only: for maps with
+        # atoms or collapses they would report misleading finite numbers
         raise InfiniteLossError(classification)
     return classification
 
@@ -137,8 +139,7 @@ class _Chunk:
     @cached_property
     def dispatch(self) -> tuple[np.ndarray, np.ndarray]:
         """(part index, family member k) per row."""
-        part_idx, k, _ = self.m.dispatch_batch(self.x, strict=True)
-        return part_idx, k
+        return self.m.dispatch_batch(self.x)
 
     @cached_property
     def ok(self) -> np.ndarray:
@@ -481,7 +482,7 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
         if not np.any(live):
             return out
         xs = pts[live]
-        part_idx, k, _ = m.dispatch_batch(xs, strict=True)
+        part_idx, k = m.dispatch_batch(xs)
         ok = bij[part_idx]
         if not np.any(ok):
             return out
@@ -536,15 +537,14 @@ def _accumulate_rows(op, a: np.ndarray, reverse: bool = False) -> np.ndarray:
     return a
 
 
-def _grouped_entropy_bits(cells: np.ndarray, w: np.ndarray,
-                          f_y: Optional[np.ndarray] = None) -> np.ndarray:
+def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray) -> np.ndarray:
     """Entropy per row of posterior weights aggregated over equal cells.
 
     cells: (S, m) int codes (-1 for invalid slots, whose weight is 0);
-    w: (S, m) unnormalized weights with f_y: (m,) their column sums, or,
-    with ``f_y`` None, weights already normalized as
-    ``w / np.maximum(f_y, 1e-300)`` (the sweep normalizes a tile once for
-    all its depths).  ``w`` is not written to.
+    wn: (S, m) posterior weights, normalized as
+    ``weight / np.maximum(f_y, 1e-300)`` with f_y the column sums of the
+    unnormalized weights (the sweep normalizes a tile once for all its
+    depths).  ``wn`` is not written to.
 
     Arithmetic contract, which the report's bytes depend on and any
     other kernel must keep: the slots of each column are taken in their
@@ -564,7 +564,6 @@ def _grouped_entropy_bits(cells: np.ndarray, w: np.ndarray,
     """
     if cells.shape[0] == 0:
         return np.zeros(cells.shape[1])
-    wn = w if f_y is None else w / np.maximum(f_y, 1e-300)
     if np.all(cells[1:] >= cells[:-1]):
         # every column in order: the stable sort order is the identity
         c, ww = cells, wn

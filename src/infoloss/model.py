@@ -24,6 +24,7 @@ import numpy as np
 from . import exprlang
 from .errors import (
     AmbiguousBranchError,
+    BoundViolationError,
     NoBranchError,
     SingularJacobianError,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "InputDensity",
     "PartRef",
     "ValidationReport",
-    "branch_index",
     "forward_eval",
     "jac_abs_det_at",
     "validate",
@@ -135,11 +135,6 @@ class PiecewiseMap:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate part names: {names}")
 
-    def part_code(self, part_index: int, k: int = 0) -> int:
-        p = self.parts[part_index]
-        off = (k - p.k_lo) if isinstance(p, BranchFamily) else 0
-        return part_index * _CODE_SHIFT + off
-
     def code_label(self, code: int) -> str:
         idx, off = divmod(int(code), _CODE_SHIFT)
         p = self.parts[idx]
@@ -183,12 +178,12 @@ class PiecewiseMap:
                 out.append((ok & inside, k))
         return out
 
-    def dispatch_batch(self, x: np.ndarray, strict: bool = True):
+    def dispatch_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Assign each row its containing part.
 
-        Returns (part_idx, k, covered): covered is the rows claimed by
-        exactly one part.  With ``strict`` a gap raises
-        :class:`NoBranchError` and an overlap :class:`AmbiguousBranchError`.
+        Returns (part_idx, k), k the family member (0 for a branch).  A row
+        in no part raises :class:`NoBranchError`, a row in more than one
+        :class:`AmbiguousBranchError`.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         masks = self.membership_masks(x)
@@ -200,16 +195,15 @@ class PiecewiseMap:
             fresh = mask & (part_idx < 0)
             part_idx[fresh] = i
             k[fresh] = kk[fresh]
-        if strict:
-            if np.any(count == 0):
-                j = int(np.argmax(count == 0))
-                raise NoBranchError(x[j])
-            if np.any(count > 1):
-                j = int(np.argmax(count > 1))
-                claimed = [self.parts[i].name for i, (mask, _) in enumerate(masks)
-                           if bool(mask[j])]
-                raise AmbiguousBranchError(x[j], claimed)
-        return part_idx, k, count == 1
+        if np.any(count == 0):
+            j = int(np.argmax(count == 0))
+            raise NoBranchError(x[j])
+        if np.any(count > 1):
+            j = int(np.argmax(count > 1))
+            claimed = [self.parts[i].name for i, (mask, _) in enumerate(masks)
+                       if bool(mask[j])]
+            raise AmbiguousBranchError(x[j], claimed)
+        return part_idx, k
 
     def forward_batch(self, x: np.ndarray, part_idx: np.ndarray,
                       k: np.ndarray) -> np.ndarray:
@@ -282,19 +276,9 @@ class PiecewiseMap:
 
 # --- spec-level scalar operations ----------------------------------------------
 
-def branch_index(m: PiecewiseMap, x) -> PartRef:
-    """The unique part containing x (with the family member index k)."""
-    xa = np.asarray(x, dtype=float).reshape(1, -1)
-    part_idx, k, _ = m.dispatch_batch(xa, strict=True)
-    i = int(part_idx[0])
-    p = m.parts[i]
-    return PartRef(i, p.name, int(k[0]) if isinstance(p, BranchFamily) else None)
-
-
 def forward_eval(m: PiecewiseMap, x) -> np.ndarray:
     xa = np.asarray(x, dtype=float).reshape(1, -1)
-    part_idx, k, _ = m.dispatch_batch(xa, strict=True)
-    return m.forward_batch(xa, part_idx, k)[0]
+    return m.forward_batch(xa, *m.dispatch_batch(xa))[0]
 
 
 def jac_abs_det_at(m: PiecewiseMap, x) -> float:
@@ -302,7 +286,7 @@ def jac_abs_det_at(m: PiecewiseMap, x) -> float:
     central differences); NaN or a value below ``JAC_SINGULAR_TOL`` raises
     :class:`SingularJacobianError`."""
     xa = np.asarray(x, dtype=float).reshape(1, -1)
-    part_idx, k, _ = m.dispatch_batch(xa, strict=True)
+    part_idx, k = m.dispatch_batch(xa)
     i = int(part_idx[0])
     kk = k if isinstance(m.parts[i], BranchFamily) else None
     val = float(m.part_jac(i, xa, kk)[0])
@@ -388,23 +372,23 @@ class InputDensity:
             return exponential_sample(float(self.params["lambda"]),
                                       self.dim, n, rng), 1.0
         if self.form == "uniform_region":
-            out = np.empty((n, self.dim))
-            got = 0
-            proposed = 0
-            accepted = 0
-            batch = max(n, 4096)
-            while got < n:
-                pts = uniform_box_sample(lo, hi, batch, rng)
-                ok = self.support.contains_batch(pts)
-                proposed += batch
-                hits = int(np.count_nonzero(ok))
-                accepted += hits
-                take = min(n - got, hits)
-                out[got:got + take] = pts[ok][:take]
-                got += take
-            return out, accepted / proposed
-        return rejection_sample(self.pdf_batch, lo, hi,
-                                float(self.pdf_bound), n, rng)
+            return rejection_sample(
+                lambda x, _: self.support.contains_batch(x), lo, hi, n, rng)
+        return rejection_sample(self._accept_under_bound, lo, hi, n, rng)
+
+    def _accept_under_bound(self, x: np.ndarray,
+                            rng: np.random.Generator) -> np.ndarray:
+        """Accept each proposal with probability pdf / ``pdf_bound``.
+        Raises :class:`BoundViolationError` if the pdf exceeds the bound
+        anywhere: the declared envelope is part of the model and must
+        dominate the pdf."""
+        bound = float(self.pdf_bound)
+        f = self.pdf_batch(x)
+        bad = f > bound * (1.0 + 1e-12)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise BoundViolationError(x[i], float(f[i]), bound)
+        return rng.random(x.shape[0]) * bound < f
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         return self.sample_with_rate(n, seed)[0]

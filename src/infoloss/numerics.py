@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import BoundViolationError, DimensionTooHighError
+from .errors import DimensionTooHighError
 
 __all__ = [
     "CHUNK_SIZE",
@@ -183,8 +183,8 @@ def run_chunks(fn: Callable[[int, int], object],
 
 # --- density samplers ---------------------------------------------------------
 #
-# Builtin forms sample by per-coordinate inverse CDF; expression pdfs by
-# rejection from the support box under a declared bound.
+# Builtin forms sample by per-coordinate inverse CDF; region-uniform and
+# expression densities by rejection from the support box.
 
 def uniform_box_sample(lo: np.ndarray, hi: np.ndarray, n: int,
                        rng: np.random.Generator) -> np.ndarray:
@@ -206,34 +206,30 @@ def exponential_sample(lam: float, dim: int, n: int,
     return -np.log1p(-u) / lam
 
 
-def rejection_sample(pdf: Callable[[np.ndarray], np.ndarray],
-                     lo: np.ndarray, hi: np.ndarray, bound: float,
-                     n: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def rejection_sample(accept: Callable[[np.ndarray, np.random.Generator],
+                                      np.ndarray],
+                     lo: np.ndarray, hi: np.ndarray, n: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Accept-reject from the uniform proposal on [lo, hi].
 
-    Returns the points plus the observed acceptance rate.  Raises
-    :class:`BoundViolationError` if the pdf ever exceeds ``bound``: the
-    declared envelope is part of the model and must dominate the pdf.
+    Proposals come in batches of ``max(n, 4096)`` rows from
+    ``uniform_box_sample``; ``accept(x, rng)`` returns the mask of the
+    rows kept, and may draw from ``rng`` after the batch.  Returns the
+    first n rows kept plus the observed acceptance rate.
     """
-    dim = lo.size
-    out = np.empty((n, dim))
+    out = np.empty((n, lo.size))
     got = 0
     proposed = 0
     accepted = 0
     batch = max(n, 4096)
     while got < n:
-        x = lo + rng.random((batch, dim)) * (hi - lo)
-        f = np.asarray(pdf(x), dtype=float)
+        x = uniform_box_sample(lo, hi, batch, rng)
+        ok = accept(x, rng)
         proposed += batch
-        bad = f > bound * (1.0 + 1e-12)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise BoundViolationError(x[i], float(f[i]), bound)
-        accept = rng.random(batch) * bound < f
-        hits = int(np.count_nonzero(accept))
+        hits = int(np.count_nonzero(ok))
         accepted += hits
         take = min(n - got, hits)
-        out[got:got + take] = x[accept][:take]
+        out[got:got + take] = x[ok][:take]
         got += take
     return out, accepted / proposed
 
@@ -241,8 +237,7 @@ def rejection_sample(pdf: Callable[[np.ndarray], np.ndarray],
 # --- quadrature ----------------------------------------------------------------
 
 def tensor_quadrature(box, f: Callable[[np.ndarray], np.ndarray],
-                      nodes_per_dim: int,
-                      row_chunk: int = 1 << 16) -> float:
+                      nodes_per_dim: int) -> float:
     """Midpoint rule on a tensor grid over ``box`` (N <= 2).
 
     ``f`` maps an (m, N) array of points to m values.  The midpoint rule
@@ -260,6 +255,7 @@ def tensor_quadrature(box, f: Callable[[np.ndarray], np.ndarray],
     cell = float(np.prod(h))
     axes = [lo[d] + (np.arange(nodes_per_dim) + 0.5) * h[d] for d in range(dim)]
 
+    row_chunk = 1 << 16  # grid points per call of f, to bound memory
     partials: list[float] = []
     if dim == 1:
         pts = axes[0][:, None]

@@ -98,10 +98,11 @@ class BranchPosterior:
 class CandidateTable:
     """Slot-major candidate arrays for a batch of query points.
 
-    Slots enumerate bijective branches plus enumerated family members.
-    ``weight`` is f_X/|det J| (zero where invalid), ``code`` a unique
-    integer subdomain id, ``f_y`` the summed output density, and
-    ``truncated`` marks rows whose family enumeration was cut short.
+    Slots enumerate bijective branches plus enumerated family members;
+    ``part_of_slot`` and ``k_of_slot`` name each slot's part and family
+    member (0 for a branch).  ``weight`` is f_X/|det J| (zero where
+    invalid), ``f_y`` the summed output density, and ``truncated`` marks
+    rows whose family enumeration was cut short.
     The slot arrays are leading ``[:S]`` views of buffers allocated at
     the table's capacity; after ``build_candidates`` has written the
     slots, only its duplicate merge writes to them.
@@ -111,7 +112,6 @@ class CandidateTable:
     valid: np.ndarray      # (S, m) bool
     weight: np.ndarray     # (S, m)
     jac: np.ndarray        # (S, m)
-    code: np.ndarray       # (S,) int64
     part_of_slot: np.ndarray  # (S,) int64
     k_of_slot: np.ndarray  # (S,) int64
     f_y: np.ndarray        # (m,)
@@ -311,8 +311,6 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
 
     return CandidateTable(
         x=x, valid=valid, weight=weight, jac=jac,
-        code=np.asarray([m.part_code(i, k) for i, k in zip(slot_part, slot_k)],
-                        dtype=np.int64),
         part_of_slot=np.asarray(slot_part, dtype=np.int64),
         k_of_slot=np.asarray(slot_k, dtype=np.int64),
         f_y=weight.sum(axis=0), truncated=truncated)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from infoloss import cli
-from infoloss.classify import atom_scan, classify
+from infoloss.classify import Classification, atom_scan, classify
 
 # the package's ``classify`` attribute is the function, not the module
 classify_module = importlib.import_module("infoloss.classify")
@@ -82,19 +82,20 @@ def test_atom_scan_reads_the_sample_of_the_preceding_classify(setups,
     setup = setups["limiter_gaussian"]
     m, d = setup.pmap, setup.density
     fresh = atom_scan(m, d, 20_000, 3)
+    c = classify(m, d, 20_000, 3)
     draws = []
     real = classify_module._part_masses
     monkeypatch.setattr(classify_module, "_part_masses",
                         lambda *args: draws.append(args) or real(*args))
-    classify(m, d, 20_000, 3)
-    assert atom_scan(m, d, 20_000, 3) == fresh
+    # the classification carries its sample: the scan draws nothing
+    assert atom_scan(m, d, classification=c) == fresh
+    assert draws == []
+    # one built from its verdict, reason and evidence alone compares
+    # equal, and a scan given it draws its own sample
+    bare = Classification(c.verdict, c.reason, c.evidence)
+    assert bare == c
+    assert atom_scan(m, d, 20_000, 3, classification=bare) == fresh
     assert len(draws) == 1
-    # the hand-off is taken once: a second scan draws its own sample
-    assert atom_scan(m, d, 20_000, 3) == fresh
-    assert len(draws) == 2
-    classify(m, d, 20_000, 3)
-    assert atom_scan(m, d, 20_000, 4) != fresh  # another seed: own draw
-    assert len(draws) == 4
     draws.clear()
     rep = cli.build_report(setup, 20_000, 3, 8, setup.analysis.depths, 1)
     assert len(draws) == 1

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoloss.classify import atom_scan
+from infoloss.cli import main as cli_main
 from infoloss.config import (
     list_presets,
     load_config,
@@ -18,7 +20,6 @@ from infoloss.config import (
     resolve_config_path,
     triangle_abs_config,
 )
-from infoloss.cli import main as cli_main
 from infoloss.errors import ConfigError
 
 ALL_PRESETS = ["ex1_fold_square", "ex2_square_gaussian", "ex3_exp_sawtooth",
@@ -260,6 +261,16 @@ def test_cli_classify():
     payload = json.loads(res.stdout)
     assert payload["verdict"] == "Infinite"
     assert payload["reason"] == "rank_deficient_mass"
+
+
+def test_cli_classify_prints_the_atoms_of_a_fresh_scan():
+    res = run_cli("classify", "limiter_gaussian", "--n", "20000", "--seed", "3")
+    assert res.returncode == 0
+    setup = load_config_file(preset_path("limiter_gaussian"))
+    atoms = atom_scan(setup.pmap, setup.density, 20_000, 3)
+    assert len(atoms) == 2
+    assert json.loads(res.stdout)["atoms"] == [
+        {"y": list(y), "mass": mass} for y, mass in atoms]
 
 
 def test_cli_bounds():

@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from infoloss.config import load_config
-from infoloss.errors import AmbiguousBranchError, NoBranchError, SingularJacobianError
+from infoloss.errors import (
+    AmbiguousBranchError,
+    BoundViolationError,
+    NoBranchError,
+    SingularJacobianError,
+)
 from infoloss.model import (
     Branch,
     InputDensity,
     PiecewiseMap,
-    branch_index,
     forward_eval,
     jac_abs_det_at,
     postcompose_affine,
     validate,
 )
+from infoloss.numerics import make_generator, uniform_box_sample
 
 
 def square_map():
@@ -55,29 +60,35 @@ def overlap_model():
     return load_config(cfg)
 
 
-# --- branch_index -----------------------------------------------------------
+# --- dispatch_batch on one row ---------------------------------------------
 
-def test_branch_index_fold_square(setups):
-    ref = branch_index(setups["ex1_fold_square"].pmap, (1.0, -1.0))
-    assert ref.name == "below_diagonal"
-    assert ref.k is None
-
-
-def test_branch_index_sawtooth_member(setups):
-    ref = branch_index(setups["ex3_exp_sawtooth"].pmap, (1.2,))
-    assert ref.k == 2  # 1.2 lies in [2/3, 4/3)
+def dispatch_one(m, x):
+    part_idx, k = m.dispatch_batch(np.asarray(x, dtype=float).reshape(1, -1))
+    return int(part_idx[0]), int(k[0])
 
 
-def test_branch_index_identity(setups):
-    assert branch_index(setups["identity"].pmap, (0.37,)).index == 0
+def test_dispatch_one_row_fold_square(setups):
+    m = setups["ex1_fold_square"].pmap
+    i, k = dispatch_one(m, (1.0, -1.0))
+    assert m.parts[i].name == "below_diagonal"
+    assert k == 0
 
 
-def test_branch_index_errors():
+def test_dispatch_one_row_sawtooth_member(setups):
+    _, k = dispatch_one(setups["ex3_exp_sawtooth"].pmap, (1.2,))
+    assert k == 2  # 1.2 lies in [2/3, 4/3)
+
+
+def test_dispatch_one_row_identity(setups):
+    assert dispatch_one(setups["identity"].pmap, (0.37,)) == (0, 0)
+
+
+def test_dispatch_one_row_errors():
     setup = overlap_model()
     with pytest.raises(AmbiguousBranchError):
-        branch_index(setup.pmap, (0.5,))
+        dispatch_one(setup.pmap, (0.5,))
     with pytest.raises(NoBranchError):
-        branch_index(setup.pmap, (-1.5,))
+        dispatch_one(setup.pmap, (-1.5,))
 
 
 # --- forward_eval -------------------------------------------------------------
@@ -269,6 +280,89 @@ def test_sampler_rates(setups):
     assert rate == pytest.approx(math.pi / 4, abs=0.02)
     _, rate = setups["identity"].density.sample_with_rate(100, 1)
     assert rate == 1.0
+
+
+def reference_region_sample(d, n, seed):
+    """The uniform_region sampler as it was written before it shared
+    the accept-reject loop of the expression form."""
+    rng = make_generator(seed)
+    lo, hi = d.support.bbox.arrays()
+    out = np.empty((n, d.dim))
+    got = proposed = accepted = 0
+    batch = max(n, 4096)
+    while got < n:
+        pts = uniform_box_sample(lo, hi, batch, rng)
+        ok = d.support.contains_batch(pts)
+        proposed += batch
+        hits = int(np.count_nonzero(ok))
+        accepted += hits
+        take = min(n - got, hits)
+        out[got:got + take] = pts[ok][:take]
+        got += take
+    return out, accepted / proposed
+
+
+def reference_expression_sample(d, n, seed):
+    """The expression-pdf rejection sampler with its bound check, as it
+    was written before it shared the loop of the region form."""
+    rng = make_generator(seed)
+    lo, hi = d.support.bbox.arrays()
+    bound = float(d.pdf_bound)
+    dim = lo.size
+    out = np.empty((n, dim))
+    got = proposed = accepted = 0
+    batch = max(n, 4096)
+    while got < n:
+        x = lo + rng.random((batch, dim)) * (hi - lo)
+        f = np.asarray(d.pdf_batch(x), dtype=float)
+        proposed += batch
+        bad = f > bound * (1.0 + 1e-12)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise BoundViolationError(x[i], float(f[i]), bound)
+        accept = rng.random(batch) * bound < f
+        hits = int(np.count_nonzero(accept))
+        accepted += hits
+        take = min(n - got, hits)
+        out[got:got + take] = x[accept][:take]
+        got += take
+    return out, accepted / proposed
+
+
+def expression_disc_density():
+    """(2/pi)(1 - |x|^2) on the unit disc, under the bound 0.7."""
+    cfg = {
+        "dim": 2,
+        "density": {
+            "form": "expression",
+            "pdf": "2/pi*(1 - x1^2 - x2^2)",
+            "pdf_bound": 0.7,
+            "support": {"predicate": "x1^2 + x2^2 <= 1",
+                        "bbox": [[-1.0, 1.0], [-1.0, 1.0]]},
+        },
+        "parts": [
+            {"type": "branch", "name": "disc", "kind": "bijective",
+             "region": {"predicate": "x1^2 + x2^2 <= 1",
+                        "bbox": [[-1.0, 1.0], [-1.0, 1.0]]},
+             "forward": ["x1", "x2"], "inverse": ["y1", "y2"]},
+        ],
+    }
+    return load_config(cfg).density
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 70_000])
+@pytest.mark.parametrize("form", ["uniform_region", "expression"])
+def test_rejection_samplers_keep_the_reference_bytes(setups, form, n, seed):
+    if form == "uniform_region":
+        d, reference = setups["ex6_m1"].density, reference_region_sample
+    else:
+        d, reference = expression_disc_density(), reference_expression_sample
+    assert d.form == form
+    pts, rate = d.sample_with_rate(n, seed)
+    expected, expected_rate = reference(d, n, seed)
+    assert pts.tobytes() == expected.tobytes()
+    assert rate == expected_rate
 
 
 # --- output relabeling ---------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoloss.errors import BoundViolationError, DimensionTooHighError
-from infoloss.geometry import Box
+from infoloss.exprlang import parse
+from infoloss.geometry import Box, Region
+from infoloss.model import InputDensity
 from infoloss.numerics import (
     MCResult,
     RunningStat,
@@ -103,17 +105,22 @@ def test_rejection_acceptance_rate_unit_disc():
     def pdf(p):
         return (p[:, 0] ** 2 + p[:, 1] ** 2 <= 1.0) / math.pi
 
-    pts, rate = rejection_sample(pdf, lo, hi, 1 / math.pi, 50_000, rng)
+    def accept(p, rng):
+        return rng.random(p.shape[0]) / math.pi < pdf(p)
+
+    pts, rate = rejection_sample(accept, lo, hi, 50_000, rng)
     assert abs(rate - math.pi / 4) < 0.02
     assert np.all(pdf(pts) > 0)
 
 
 def test_rejection_bound_violation():
-    rng = make_generator(4)
-    lo, hi = np.array([0.0]), np.array([1.0])
-    with pytest.raises(BoundViolationError):
-        rejection_sample(lambda p: np.full(p.shape[0], 2.0), lo, hi, 1.0,
-                         100, rng)
+    # the pdf 2 x1 exceeds the declared bound 1 on (1/2, 1]
+    d = InputDensity(1, "expression",
+                     Region(parse("x1 >= 0 and x1 <= 1"), Box((0.0,), (1.0,))),
+                     pdf_expr=parse("2*x1"), pdf_bound=1.0)
+    with pytest.raises(BoundViolationError) as err:
+        d.sample(100, 4)
+    assert err.value.x[0] > 0.5
 
 
 def test_quadrature_linear_exact():

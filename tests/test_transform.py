@@ -122,7 +122,7 @@ def test_output_density_fold_square_value_and_histogram(setups):
     # cross-check by a 2-D histogram of mapped samples around y = (1, 2)
     n = 1_000_000
     x = setup.density.sample(n, seed=99)
-    part_idx, k, _ = setup.pmap.dispatch_batch(x)
+    part_idx, k = setup.pmap.dispatch_batch(x)
     y = setup.pmap.forward_batch(x, part_idx, k)
     box = (np.abs(y[:, 0] - 1.0) <= 0.1) & (np.abs(y[:, 1] - 2.0) <= 0.1)
     density = box.sum() / (n * 0.2 * 0.2)
@@ -177,7 +177,7 @@ def test_posterior_sums_to_one_everywhere(setups):
     for name in ("ex1_fold_square", "ex3_exp_sawtooth", "ex6_m1"):
         setup = setups[name]
         x = setup.density.sample(512, seed=13)
-        part_idx, k, _ = setup.pmap.dispatch_batch(x)
+        part_idx, k = setup.pmap.dispatch_batch(x)
         y = setup.pmap.forward_batch(x, part_idx, k)
         table = build_candidates(setup.pmap, setup.density, y)
         sums = (table.weight / table.f_y).sum(axis=0)
@@ -190,7 +190,7 @@ def test_preimage_contains_original_point(setups):
                  "ex3_exp_sawtooth", "ex4_polar_unitdisc", "ex6_m1"):
         setup = setups[name]
         x = setup.density.sample(1_000, seed=31)
-        part_idx, k, _ = setup.pmap.dispatch_batch(x)
+        part_idx, k = setup.pmap.dispatch_batch(x)
         y = setup.pmap.forward_batch(x, part_idx, k)
         table = build_candidates(setup.pmap, setup.density, y)
         dists = np.where(table.valid,
