@@ -1,29 +1,40 @@
 """Small expression language for regions, maps, Jacobians and densities.
 
 Expressions are plain text like ``"abs(x1 - x2)"`` or
-``"1.5*exp(-1.5*x1)"``.  They parse to an immutable AST, which one
-tree walk evaluates with numpy's IEEE rules.  ``eval_array`` runs it on
-array bindings, where domain violations yield NaN/inf so callers can
-mask them out; ``evaluate`` runs it on a scalar binding in strict mode,
-where the declared singularities (division by zero, sqrt of a negative,
-log of a non-positive, a negative base to a fractional power, zero to a
-negative power) raise :class:`EvalError` instead.
+``"1.5*exp(-1.5*x1)"``.  They parse to an immutable AST.
+:func:`compile_expr` turns an AST once into closures over a binding
+dict that evaluate it with numpy's IEEE rules; the model compiles each
+of its expressions when it is built and evaluates only through those
+closures.  ``eval_array`` evaluates on array bindings, where domain
+violations yield NaN/inf so callers can mask them out; ``evaluate``
+evaluates a scalar binding in strict mode, a compile-time variant of
+the same closures in which the declared singularities (division by
+zero, sqrt of a negative, log of a non-positive, a negative base to a
+fractional power, zero to a negative power) raise :class:`EvalError`
+instead.
 
 Grammar, loosest to tightest binding:
 
     or  <  and  <  not  <  comparisons (< <= > >=)  <  + -  <  * /
         <  unary minus  <  ^ (right associative)  <  atoms
 
-so ``-2^2`` is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  Booleans are
-encoded as 1.0 / 0.0 so region predicates run through the same
-evaluator.  Printing an AST and re-parsing it reproduces the tree
-structurally.
+so ``-2^2`` is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  Every compiled
+node has a static type.  Comparisons, ``and``, ``or`` and ``not`` are
+predicates and run on numpy bools; a number read as a truth value is
+true where it is not 0.0, NaN included.  A predicate becomes 1.0 / 0.0
+only where arithmetic reads it, and ``eval_array`` returns it so, while
+region membership reads the bools directly.  Subtrees without variables
+are folded at compile time by the same numpy ufuncs on the same
+operands, and ``x^2`` runs as ``x*x`` where the two give the same bytes
+(float64 operands).  Printing an AST and re-parsing it reproduces the
+tree structurally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,6 +52,8 @@ __all__ = [
     "parse",
     "evaluate",
     "eval_array",
+    "Compiled",
+    "compile_expr",
     "free_vars",
     "to_string",
     "substitute",
@@ -409,13 +422,211 @@ _COMPARE_NP = {
 }
 
 
+_F64 = np.dtype(np.float64)
+_VARYING = object()  # marks a code whose value depends on the binding
+
+
+class _Code(NamedTuple):
+    """One compiled node: ``run(binding)`` and its static result type.
+
+    A boolean code runs to numpy bools (``np.bool_`` or a bool array) and
+    ``to_float`` turns them into the 1.0 / 0.0 floats arithmetic reads;
+    ``const`` is the folded value of a node without variables."""
+
+    run: Callable
+    boolean: bool = False
+    const: object = _VARYING
+    to_float: Optional[Callable] = None
+
+
+def _astype_float(v):
+    return v.astype(float)
+
+
+def _where_float(v):
+    # the float form of ``not``, an array even for a scalar operand
+    return np.where(v, 1.0, 0.0)
+
+
+def _constant(value, boolean: bool = False, to_float=None) -> _Code:
+    return _Code(lambda b: value, boolean, value, to_float)
+
+
+def _num(c: _Code) -> _Code:
+    """``c`` as the number arithmetic reads: predicates become 1.0 / 0.0."""
+    if not c.boolean:
+        return c
+    if c.const is not _VARYING:
+        return _constant(c.to_float(c.const))
+    run, to_float = c.run, c.to_float
+    return _Code(lambda b: to_float(run(b)))
+
+
+def _truth(c: _Code) -> _Code:
+    """``c`` as bools: a number is true where it is not 0.0 (NaN is)."""
+    if c.boolean:
+        return c
+    if c.const is not _VARYING:
+        return _constant(np.not_equal(c.const, 0.0), True, _astype_float)
+    run = c.run
+    return _Code(lambda b: np.not_equal(run(b), 0.0), True, _VARYING,
+                 _astype_float)
+
+
+def _into(f, r, s):
+    """``f(r, s)`` for a commutative logical ufunc, written over ``r`` or
+    ``s`` when one is an array of the result's shape.  Both are bools
+    this evaluation made, so overwriting them is safe."""
+    if type(r) is np.ndarray and (np.ndim(s) == 0 or s.shape == r.shape):
+        return f(r, s, out=r)
+    if type(s) is np.ndarray and np.ndim(r) == 0:
+        return f(s, r, out=s)
+    return f(r, s)
+
+
+def _square(v):
+    """``np.power(v, 2.0)``: ``v * v`` for float64 operands, where the two
+    give the same bytes; numpy's own types decide every other dtype."""
+    if type(v) is float or getattr(v, "dtype", None) is _F64:
+        return np.multiply(v, v)
+    return np.power(v, 2.0)
+
+
+def _var(name: str) -> _Code:
+    def run(b):
+        try:
+            return b[name]
+        except KeyError:
+            raise UnboundVariableError(name) from None
+    return _Code(run)
+
+
+def _not(t: _Code) -> _Code:
+    run = t.run
+
+    def negate(b):
+        v = run(b)
+        return np.logical_not(v, out=v) if type(v) is np.ndarray else np.logical_not(v)
+    return _Code(negate, True, _VARYING, _where_float)
+
+
+def _logic(op: str, ta: _Code, tb: _Code) -> _Code:
+    f = np.logical_and if op == "and" else np.logical_or
+    ra, rb = ta.run, tb.run
+    return _Code(lambda b: _into(f, ra(b), rb(b)), True, _VARYING,
+                 _astype_float)
+
+
+def _unary(e: Unary, a: _Code, strict: bool) -> _Code:
+    f, run = _UNARY_NP[e.op], a.run
+    if strict and e.op in ("sqrt", "ln", "log2"):
+        op = e.op
+
+        def checked(b):
+            v = run(b)
+            if kind := _singular(op, v):
+                raise EvalError(kind, to_string(e))
+            return f(v)
+        return _Code(checked)
+    return _Code(lambda b: f(run(b)))
+
+
+def _binary(e: Binary, a: _Code, c: _Code, strict: bool) -> _Code:
+    """Arithmetic, a two-argument function or a comparison of numbers."""
+    op = e.op
+    compare = op in _COMPARE_NP
+    f = _COMPARE_NP[op] if compare else _BINARY_NP[op]
+    typed = (True, _VARYING, _astype_float) if compare else ()
+    ra, rc = a.run, c.run
+    ka, kc = a.const, c.const
+    if op == "^" and kc is not _VARYING and kc == 2.0:
+        return _Code(lambda b: _square(ra(b)))
+    if strict and op in ("/", "^"):
+        def checked(b):
+            va, vc = ra(b), rc(b)
+            if kind := _singular(op, va, vc):
+                raise EvalError(kind, to_string(e))
+            return f(va, vc)
+        return _Code(checked)
+    if kc is not _VARYING:
+        return _Code(lambda b: f(ra(b), kc), *typed)
+    if ka is not _VARYING:
+        return _Code(lambda b: f(ka, rc(b)), *typed)
+    return _Code(lambda b: f(ra(b), rc(b)), *typed)
+
+
+def _compile(e: Expr, strict: bool) -> _Code:
+    """The code of ``e``; a node whose operands are all constant is run
+    once here, with the ufunc the node runs, and becomes a constant.  In
+    strict mode a constant node that hits a singularity stays a node, so
+    it raises where the evaluation order reaches it."""
+    if isinstance(e, Num):
+        return _constant(e.value)
+    if isinstance(e, Const):
+        return _constant(CONSTANTS[e.name])
+    if isinstance(e, Var):
+        return _var(e.name)
+    if isinstance(e, Unary):
+        operands = (_compile(e.a, strict),)
+        if e.op == "not":
+            code = _not(_truth(operands[0]))
+        else:
+            code = _unary(e, _num(operands[0]), strict)
+    elif isinstance(e, Binary):
+        operands = (_compile(e.a, strict), _compile(e.b, strict))
+        if e.op in ("and", "or"):
+            code = _logic(e.op, *map(_truth, operands))
+        else:
+            code = _binary(e, *map(_num, operands), strict)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    if any(c.const is _VARYING for c in operands):
+        return code
+    try:
+        value = code.run({})
+    except EvalError:
+        return code
+    return _constant(value, code.boolean, code.to_float)
+
+
+class Compiled(NamedTuple):
+    """An expression compiled once into closures over a binding dict.
+
+    ``value(binding)`` evaluates as :func:`eval_array` does, predicates
+    as 1.0 / 0.0; compiled ``strict`` it raises at the declared
+    singularities as :func:`evaluate` does.  ``test(binding)`` is the
+    truth of the value as numpy bools, ``value != 0.0`` without the
+    float round trip.  ``constant`` is the folded value of an expression
+    without variables, else None.  The closures run under the caller's
+    ``np.errstate``."""
+
+    value: Callable
+    test: Callable
+    constant: object
+
+
+def compile_expr(e: Expr, strict: bool = False) -> Compiled:
+    """Compile ``e`` into typed closures (see :class:`Compiled`)."""
+    with np.errstate(all="ignore"):
+        code = _compile(e, strict)
+        num = _num(code)
+    value = num.run
+    if isinstance(num.const, np.ndarray):
+        const = num.const
+        value = lambda b: const.copy()  # noqa: E731 - callers own results
+    return Compiled(value, _truth(code).run,
+                    None if num.const is _VARYING else num.const)
+
+
 def evaluate(e: Expr, binding: dict[str, float]) -> float:
     """Evaluate on a scalar binding in strict mode: the rules of
     :func:`eval_array`, except that the declared singularities (see the
-    module docstring) raise :class:`EvalError`.  Missing variables raise
-    :class:`UnboundVariableError`."""
+    module docstring) raise :class:`EvalError`, checked at each node's
+    operands in post-order, left operand first.  Missing variables
+    raise :class:`UnboundVariableError`."""
+    value = compile_expr(e, strict=True).value
     with np.errstate(all="ignore"):
-        return float(_eval(e, {k: float(v) for k, v in binding.items()}, True))
+        return float(value({k: float(v) for k, v in binding.items()}))
 
 
 def eval_array(e: Expr, binding: dict[str, np.ndarray | float]):
@@ -424,10 +635,13 @@ def eval_array(e: Expr, binding: dict[str, np.ndarray | float]):
     Domain violations (division by zero, log of a non-positive, sqrt of a
     negative, fractional power of a negative) produce NaN/inf instead of
     raising; callers filter by validity masks.  Missing variables still
-    raise :class:`UnboundVariableError`.
+    raise :class:`UnboundVariableError`.  Compiles ``e`` on every call:
+    code that evaluates one expression often keeps its
+    :func:`compile_expr` closures instead.
     """
+    value = compile_expr(e).value
     with np.errstate(all="ignore"):
-        return _eval(e, binding, False)
+        return value(binding)
 
 
 def _singular(op: str, a, b=None) -> str | None:
@@ -441,41 +655,3 @@ def _singular(op: str, a, b=None) -> str | None:
     if op == "^" and a < 0.0 and b != np.floor(b):
         return "pow_domain"
     return None
-
-
-def _eval(e: Expr, binding, strict: bool):
-    """The one tree walk behind :func:`evaluate` and :func:`eval_array`;
-    ``strict`` checks each node's operands for a declared singularity
-    (post-order, left operand first)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Var):
-        try:
-            return binding[e.name]
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    if isinstance(e, Unary):
-        a = _eval(e.a, binding, strict)
-        if strict and (kind := _singular(e.op, a)):
-            raise EvalError(kind, to_string(e))
-        if e.op == "not":
-            return np.where(np.asarray(a) != 0.0, 0.0, 1.0)
-        return _UNARY_NP[e.op](a)
-    if isinstance(e, Binary):
-        a = _eval(e.a, binding, strict)
-        b = _eval(e.b, binding, strict)
-        op = e.op
-        if strict and (kind := _singular(op, a, b)):
-            raise EvalError(kind, to_string(e))
-        if op in _BINARY_NP:
-            return _BINARY_NP[op](a, b)
-        if op in _COMPARE_NP:
-            return _COMPARE_NP[op](a, b).astype(float)
-        if op == "and":
-            return ((np.asarray(a) != 0.0) & (np.asarray(b) != 0.0)).astype(float)
-        if op == "or":
-            return ((np.asarray(a) != 0.0) | (np.asarray(b) != 0.0)).astype(float)
-        raise ValueError(f"bad binary op {op!r}")
-    raise TypeError(f"not an Expr: {e!r}")

@@ -3,7 +3,8 @@
 Subdomains of the map and density supports are arbitrary boolean
 expressions over x1..xN paired with a bounding box.  Quadrature and
 sampling only ever need membership tests and the box; no exact region
-geometry is computed.
+geometry is computed.  A region compiles its predicate once, when it is
+built, and tests membership on the predicate's bools.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exprlang
-from .exprlang import Expr
+from .exprlang import Compiled, Expr, compile_expr
 from .numerics import row_all
 
 __all__ = ["Box", "Region", "box_volume"]
@@ -60,12 +60,22 @@ class Region:
     predicate: Expr
     bbox: Box
     extra_binding: dict = field(default_factory=dict, compare=False)
+    compiled: Compiled = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", compile_expr(self.predicate))
 
     def contains(self, x) -> bool:
         return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
 
     def contains_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        binding = {f"x{d + 1}": x[:, d] for d in range(x.shape[1])}
-        binding.update(self.extra_binding)
-        return np.asarray(exprlang.eval_array(self.predicate, binding)) != 0.0
+        return self.test({f"x{d + 1}": x[:, d] for d in range(x.shape[1])})
+
+    def test(self, binding: dict) -> np.ndarray:
+        """Membership of the points a binding of x1..xN names (the
+        predicate's bools; ``extra_binding`` binds the other names)."""
+        if self.extra_binding:
+            binding = {**binding, **self.extra_binding}
+        with np.errstate(all="ignore"):
+            return self.compiled.test(binding)

@@ -299,7 +299,8 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
         for j, cell in enumerate(_dyadic_cells(u, depths)):
             np.copyto(cell, -1, where=invalid)
             h[j, cols] = _grouped_entropy_bits(cell, wn)
-    return tuple(chunk_moments(np.where(ch.ok, hj, 0.0)) for hj in h)
+    np.copyto(h, 0.0, where=~ch.ok)
+    return tuple(chunk_moments(hj) for hj in h)
 
 
 def _neg_log_fx(ch: _Chunk):

@@ -9,15 +9,17 @@ the period cells of a sawtooth).  Parts may be declared ``bijective``,
 ``rank_deficient`` (the Jacobian loses rank on the region); the declared
 kind is cross-checked numerically in :func:`validate`.
 
-Everything is immutable after construction and safe to evaluate from
-multiple threads.
+Every part, region and density compiles its expressions once, when it
+is built (:func:`exprlang.compile_expr`), and evaluates only through
+those closures.  Everything is immutable after construction and safe to
+evaluate from multiple threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -28,7 +30,10 @@ from .errors import (
     NoBranchError,
     SingularJacobianError,
 )
-from .exprlang import Expr, eval_array
+# eval_array stays bound here: the benchmark's layer tracer
+# (perfbench/tracer.py) rebinds it in every importing module and its
+# tests expect it in this one
+from .exprlang import Compiled, Expr, compile_expr, eval_array  # noqa: F401
 from .geometry import Box, Region, box_volume
 from .numerics import (
     exponential_sample,
@@ -61,6 +66,43 @@ DEFAULT_K_MAX = 64
 _CODE_SHIFT = 1 << 32  # part index above, family member offset below
 
 
+class PartCode(NamedTuple):
+    """A part's expressions, compiled when the part is built."""
+
+    forward: tuple[Compiled, ...]
+    inverse: tuple[Compiled, ...]   # empty for a part without an inverse
+    jac: Optional[Compiled]
+    jac_const: Optional[np.float64]  # |det J| where the expression is constant
+    region: Region   # a family's tests the member that the binding's k names
+    index_of: Optional[Compiled]
+
+
+def _part_code(part, region: Region) -> PartCode:
+    """Compile one part's expressions; ``region`` tests its membership."""
+    def every(exprs):
+        return tuple(map(compile_expr, exprs or ()))
+
+    jac = None if part.jac_abs_det is None else compile_expr(part.jac_abs_det)
+    jac_const = None
+    if jac is not None and jac.constant is not None:
+        jac_const = np.abs(np.asarray(jac.constant, dtype=float))[()]
+    index_of = part.index_of if isinstance(part, BranchFamily) else None
+    return PartCode(every(part.forward), every(part.inverse), jac, jac_const,
+                    region, None if index_of is None else compile_expr(index_of))
+
+
+def _bind_k(binding: dict, k) -> dict:
+    """``binding`` with the family member ``k`` bound as floats (a number
+    stays a number)."""
+    if k is not None:
+        binding["k"] = k if isinstance(k, float) else np.asarray(k, dtype=float)
+    return binding
+
+
+def _x_binding(x: np.ndarray, k=None) -> dict:
+    return _bind_k({f"x{d + 1}": x[:, d] for d in range(x.shape[1])}, k)
+
+
 @dataclass(frozen=True)
 class Branch:
     name: str
@@ -69,12 +111,14 @@ class Branch:
     inverse: Optional[tuple[Expr, ...]] = None
     jac_abs_det: Optional[Expr] = None
     kind: str = "bijective"  # bijective | constant_point | rank_deficient
+    code: PartCode = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("bijective", "constant_point", "rank_deficient"):
             raise ValueError(f"bad branch kind {self.kind!r}")
         if self.kind == "bijective" and self.inverse is None:
             raise ValueError(f"branch {self.name!r} is bijective but has no inverse")
+        object.__setattr__(self, "code", _part_code(self, self.region))
 
 
 @dataclass(frozen=True)
@@ -96,6 +140,11 @@ class BranchFamily:
     forward: tuple[Expr, ...]
     inverse: tuple[Expr, ...]
     jac_abs_det: Optional[Expr] = None
+    code: PartCode = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        region = Region(self.region_of_k, self.bbox)
+        object.__setattr__(self, "code", _part_code(self, region))
 
     @property
     def kind(self) -> str:
@@ -154,8 +203,9 @@ class PiecewiseMap:
     # -- vectorized membership / dispatch --------------------------------
 
     def _member_k(self, fam: BranchFamily, x: np.ndarray) -> np.ndarray:
-        binding = {f"x{d + 1}": x[:, d] for d in range(self.dim)}
-        k = np.rint(np.asarray(eval_array(fam.index_of, binding), dtype=float))
+        with np.errstate(all="ignore"):
+            k = np.rint(np.asarray(fam.code.index_of.value(_x_binding(x)),
+                                   dtype=float))
         k = np.where(np.isfinite(k), k, fam.k_lo - 1)
         return k.astype(np.int64)
 
@@ -172,10 +222,7 @@ class PiecewiseMap:
                 ok = k >= p.k_lo
                 if p.k_hi is not None:
                     ok &= k <= p.k_hi
-                binding = {f"x{d + 1}": x[:, d] for d in range(self.dim)}
-                binding["k"] = k.astype(float)
-                inside = np.asarray(eval_array(p.region_of_k, binding)) != 0.0
-                out.append((ok & inside, k))
+                out.append((ok & p.code.region.test(_x_binding(x, k)), k))
         return out
 
     def dispatch_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +261,12 @@ class PiecewiseMap:
             if not np.any(rows):
                 continue
             xb = x[rows]
-            binding = {f"x{d + 1}": xb[:, d] for d in range(self.dim)}
-            if isinstance(p, BranchFamily):
-                binding["k"] = k[rows].astype(float)
-            for d, fe in enumerate(p.forward):
-                y[rows, d] = np.broadcast_to(eval_array(fe, binding), (xb.shape[0],))
+            binding = _x_binding(
+                xb, k[rows] if isinstance(p, BranchFamily) else None)
+            with np.errstate(all="ignore"):
+                for d, fe in enumerate(p.code.forward):
+                    y[rows, d] = np.broadcast_to(fe.value(binding),
+                                                 (xb.shape[0],))
         return y
 
     def _fd_matrices(self, p: Part, x: np.ndarray,
@@ -231,11 +279,10 @@ class PiecewiseMap:
             for s in (1.0, -1.0):
                 xs = x.copy()
                 xs[:, j] += s * hs
-                binding = {f"x{d + 1}": xs[:, d] for d in range(dim)}
-                if k is not None:
-                    binding["k"] = k.astype(float)
-                for i, fe in enumerate(p.forward):
-                    col = np.broadcast_to(eval_array(fe, binding), (n,))
+                binding = _x_binding(xs, k)
+                for i, fe in enumerate(p.code.forward):
+                    with np.errstate(all="ignore"):
+                        col = np.broadcast_to(fe.value(binding), (n,))
                     if s > 0:
                         mat[:, i, j] = col
                     else:
@@ -244,21 +291,31 @@ class PiecewiseMap:
         return mat
 
     def part_jac(self, part_index: int, x: np.ndarray,
-                 k: np.ndarray | None = None) -> np.ndarray:
-        """|det J| of one part at every row of x; no singularity check."""
+                 k: np.ndarray | float | None = None) -> np.ndarray:
+        """|det J| of one part at every row of x; no singularity check.
+        ``k`` is the family member per row, or one member for every row."""
         p = self.parts[part_index]
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if p.jac_abs_det is not None:
-            binding = {f"x{d + 1}": x[:, d] for d in range(self.dim)}
-            if k is not None:
-                binding["k"] = k.astype(float)
-            vals = np.abs(np.asarray(
-                eval_array(p.jac_abs_det, binding), dtype=float))
+            vals = self.part_jac_value(part_index, x, k)
             return np.broadcast_to(vals, (x.shape[0],)).copy()
         mat = self._fd_matrices(p, x, k)
         if self.dim == 1:
             return np.abs(mat[:, 0, 0])
         return np.abs(np.linalg.det(mat))
+
+    def part_jac_value(self, part_index: int, x: np.ndarray,
+                       k: np.ndarray | float | None = None):
+        """|det J| from one part's expression at the rows of ``x``: a
+        number where the expression is constant over them (a folded
+        constant, or an expression in a single member ``k``), else one
+        value per row."""
+        code = self.parts[part_index].code
+        if code.jac_const is not None:
+            return code.jac_const
+        with np.errstate(all="ignore"):
+            return np.abs(np.asarray(code.jac.value(_x_binding(x, k)),
+                                     dtype=float))
 
     def jac_batch(self, x: np.ndarray, part_idx: np.ndarray,
                   k: np.ndarray) -> np.ndarray:
@@ -268,6 +325,9 @@ class PiecewiseMap:
         for i, p in enumerate(self.parts):
             rows = part_idx == i
             if not np.any(rows):
+                continue
+            if p.code.jac_const is not None:
+                out[rows] = p.code.jac_const  # no rows to gather
                 continue
             kk = k[rows] if isinstance(p, BranchFamily) else None
             out[rows] = self.part_jac(i, x[rows], kk)
@@ -316,6 +376,7 @@ class InputDensity:
     pdf_expr: Optional[Expr] = None
     pdf_bound: Optional[float] = None
     exact_diffent_bits: Optional[float] = None
+    pdf_code: Optional[Compiled] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.form not in _BUILTIN_FORMS + ("expression",):
@@ -323,6 +384,8 @@ class InputDensity:
         if self.form == "expression":
             if self.pdf_expr is None or self.pdf_bound is None:
                 raise ValueError("expression densities need pdf and pdf_bound")
+        object.__setattr__(self, "pdf_code", None if self.pdf_expr is None
+                           else compile_expr(self.pdf_expr))
         if self.form == "uniform_region" and "volume" not in self.params:
             raise ValueError("uniform_region needs a volume (exact or estimated)")
 
@@ -347,12 +410,14 @@ class InputDensity:
                 lam = float(self.params["lambda"])
                 vals = row_prod(lam * np.exp(-lam * x))
             else:
-                binding = {f"x{d + 1}": x[:, d] for d in range(self.dim)}
                 vals = np.broadcast_to(
-                    np.asarray(eval_array(self.pdf_expr, binding), dtype=float),
+                    np.asarray(self.pdf_code.value(_x_binding(x)), dtype=float),
                     (x.shape[0],)).copy()
-            vals = np.where(inside, vals, 0.0)
-            return np.where(np.isfinite(vals), vals, 0.0)
+            # vals is this call's own array: zero it in place outside the
+            # support and where it is not finite
+            np.copyto(vals, 0.0, where=~inside)
+            np.copyto(vals, 0.0, where=~np.isfinite(vals))
+            return vals
 
     def pdf(self, x) -> float:
         return float(self.pdf_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -360,6 +425,10 @@ class InputDensity:
     # -- sampling ---------------------------------------------------------
 
     def sample_with_rate(self, n: int, seed: int) -> tuple[np.ndarray, float]:
+        """n draws and the sampler's acceptance rate (1 without rejection).
+        Every estimate divides by its sample size, so n < 1 raises."""
+        if n < 1:
+            raise ValueError("need n >= 1")
         rng = make_generator(seed)
         lo, hi = self.support.bbox.arrays()
         if self.form == "uniform_box":
@@ -445,9 +514,8 @@ def _family_checks(m: PiecewiseMap, fam_index: int, fam: BranchFamily,
                    x: np.ndarray, k: np.ndarray, report: dict,
                    failures: list[str]) -> None:
     # index_of must name a member that actually contains the point
-    binding = {f"x{d + 1}": x[:, d] for d in range(m.dim)}
-    binding["k"] = k.astype(float)
-    inside = np.asarray(eval_array(fam.region_of_k, binding)) != 0.0
+    region = fam.code.region
+    inside = region.test(_x_binding(x, k))
     bad = int(np.count_nonzero(~inside))
     report["index_consistency_failures"] = bad
     if bad:
@@ -459,8 +527,7 @@ def _family_checks(m: PiecewiseMap, fam_index: int, fam: BranchFamily,
         ok_range = kn >= fam.k_lo
         if fam.k_hi is not None:
             ok_range &= kn <= fam.k_hi
-        binding["k"] = kn.astype(float)
-        overlap = (np.asarray(eval_array(fam.region_of_k, binding)) != 0.0) & ok_range
+        overlap = region.test(_x_binding(x, kn)) & ok_range
         cnt = int(np.count_nonzero(overlap))
         if cnt:
             failures.append(f"{fam.name}: members k and k{dk:+d} overlap "
@@ -513,12 +580,12 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
         part_idx = np.full(n_in, i, dtype=np.int64)
         if p.kind == "bijective":
             y = m.forward_batch(xb, part_idx, kb)
-            binding = {f"y{dd + 1}": y[:, dd] for dd in range(m.dim)}
-            if isinstance(p, BranchFamily):
-                binding["k"] = kb.astype(float)
-            x_back = np.column_stack([
-                np.broadcast_to(eval_array(inv, binding), (n_in,))
-                for inv in p.inverse])
+            binding = _bind_k({f"y{dd + 1}": y[:, dd] for dd in range(m.dim)},
+                              kb if isinstance(p, BranchFamily) else None)
+            with np.errstate(all="ignore"):
+                x_back = np.column_stack([
+                    np.broadcast_to(inv.value(binding), (n_in,))
+                    for inv in p.code.inverse])
             rel = row_max(np.abs(x_back - xb)) / (
                 1.0 + row_max(np.abs(xb)))
             rep["inverse_max_rel_err"] = float(np.max(rel))

@@ -13,12 +13,12 @@ identical no matter how many workers execute the chunks.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionTooHighError
 
@@ -104,7 +104,8 @@ def chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
     if v.size == 0:
         return s, 0.0, 0
     dev = v - s / v.size
-    return s, float(np.sum(dev * dev)), v.size
+    dev *= dev
+    return s, float(np.sum(dev)), v.size
 
 
 def row_max(a: np.ndarray) -> np.ndarray:
@@ -173,12 +174,46 @@ def run_chunks(fn: Callable[[int, int], object],
     """Evaluate ``fn(chunk_index, chunk_len)`` for every chunk.
 
     Results come back in chunk order whatever ``workers`` is; ``fn``
-    must be pure apart from reading shared immutable state.
+    must be pure apart from reading shared immutable state.  With more
+    than one worker the calling thread takes chunks too, beside
+    ``workers - 1`` pool threads, so a pass starts one thread fewer and
+    the caller's heap, warm from earlier passes, serves its chunks
+    instead of a new thread's.  Every chunk runs; the error of the first
+    failing chunk in plan order is raised.
     """
     if workers <= 1 or len(plan) <= 1:
         return [fn(c, m) for c, m in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cm: fn(*cm), plan))
+    jobs = iter(enumerate(plan))
+    lock = threading.Lock()
+    results: list = [None] * len(plan)
+    errors: list = [None] * len(plan)
+    stop = False
+
+    def work():
+        while not stop:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            i, (c, m) = job
+            try:
+                results[i] = fn(c, m)
+            except Exception as err:  # noqa: BLE001 - raised in plan order
+                errors[i] = err
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        try:
+            work()
+        except BaseException:
+            stop = True  # an interrupt: the pool finishes its chunk only
+            raise
+        for helper in helpers:
+            helper.result()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
 
 
 # --- density samplers ---------------------------------------------------------
@@ -189,11 +224,17 @@ def run_chunks(fn: Callable[[int, int], object],
 def uniform_box_sample(lo: np.ndarray, hi: np.ndarray, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     u = rng.random((n, lo.size))
-    return lo + u * (hi - lo)
+    u *= hi - lo
+    u += lo  # lo + u * (hi - lo), without two temporaries
+    return u
 
 
 def gaussian_iid_sample(mu: float, sigma: float, dim: int, n: int,
                         rng: np.random.Generator) -> np.ndarray:
+    # imported here: scipy.special takes longer to import than numpy, and
+    # only Gaussian inputs need it
+    from scipy.special import ndtri
+
     u = rng.random((n, dim))
     # keep ndtri finite at the (never observed in practice) endpoints
     u = np.clip(u, 1e-300, 1.0 - 1e-16)

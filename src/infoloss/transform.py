@@ -45,7 +45,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularJacobianError, ZeroDensityError
-from .exprlang import eval_array
+# eval_array stays bound here: the benchmark's layer tracer
+# (perfbench/tracer.py) rebinds it in every importing module and its
+# tests expect it in this one
+from .exprlang import eval_array  # noqa: F401
 from .model import (
     DEFAULT_K_MAX,
     JAC_SINGULAR_TOL,
@@ -122,54 +125,55 @@ class CandidateTable:
         return np.count_nonzero(self.valid, axis=0)
 
 
-def _check_jacobian(xc: np.ndarray, jac: np.ndarray, bad: np.ndarray):
-    """Raise for the first row of one slot with a singular Jacobian."""
-    if np.any(bad):
+def _check_jacobian(xc: np.ndarray, jac: np.ndarray,
+                    bad: Optional[np.ndarray]):
+    """Raise for the first row of one slot with a singular Jacobian
+    (``bad`` None: no row is)."""
+    if bad is not None and np.any(bad):
         i = int(np.argmax(bad))
         raise SingularJacobianError(xc[i], float(jac[i]))
 
 
 def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
                    y: np.ndarray, ks: Optional[np.ndarray], y_tol: np.ndarray,
-                   out: tuple[np.ndarray, ...]) -> np.ndarray:
+                   out: tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
     """Evaluate one part at the query rows ``y`` and write the candidate,
     validity, density and Jacobian into ``out`` = (x, valid, weight, jac),
     table rows of shape (n, N), (n,), (n,), (n,): one slot for a branch
     (``ks`` None), one per member of the family block ``ks``, member-major
-    with ``k`` bound per row.  Returns the singular-Jacobian mask; the
-    caller raises for the singular rows of the slots it keeps."""
+    with ``k`` bound per row.  Returns the singular-Jacobian mask, or
+    None where no row can be singular; the caller raises for the
+    singular rows of the slots it keeps."""
     p = m.parts[part_index]
+    code = p.code
     xc, valid, weight, jac = out
     rows, n = y.shape[0], xc.shape[0]
     yb = y if n == rows else np.tile(y, (n // rows, 1))
+    k = None
+    if ks is not None:
+        # one member binds k as a number: the same values, without an
+        # array pass per operation on k
+        k = np.repeat(ks.astype(float), rows) if ks.size > 1 else float(ks[0])
     binding = {f"y{dd + 1}": yb[:, dd] for dd in range(m.dim)}
-    karr = kb = None
-    if ks is None:
-        region = p.region
-    else:
-        karr = np.repeat(ks.astype(float), rows)
-        # one member binds k to its inverse and region as a number: the
-        # same values, without an array pass per operation on k
-        kb = karr if ks.size > 1 else float(ks[0])
-        binding["k"] = kb
-        region = p.member_region(kb)
-    for dd, inv in enumerate(p.inverse):
-        xc[:, dd] = eval_array(inv, binding)
-    finite = row_all(np.isfinite(xc))
-    np.copyto(xc, 0.0, where=~finite[:, None])
-
-    in_region = region.contains_batch(xc)
-    fx = d.pdf_batch(xc)
-
-    xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
-    if karr is not None:
-        xbind["k"] = karr
+    if k is not None:
+        binding["k"] = k
     # a singular row's weight may divide by zero: it is never kept
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
+        for dd, inv in enumerate(code.inverse):
+            xc[:, dd] = inv.value(binding)
+        finite = row_all(np.isfinite(xc))
+        np.copyto(xc, 0.0, where=~finite[:, None])
+
+        xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
+        if k is not None:
+            xbind["k"] = k
+        in_region = code.region.test(xbind)
+        fx = d.pdf_batch(xc)
+
         # the map-back test |g(x) - y| <= tol (1 + |y|) in the max norm,
         # folded over the output coordinates as ``row_max`` folds them
-        for dd, fe in enumerate(p.forward):
-            y_back = np.broadcast_to(eval_array(fe, xbind), (n,))
+        for dd, fe in enumerate(code.forward):
+            y_back = np.broadcast_to(fe.value(xbind), (n,))
             dev_dd = np.abs(y_back - yb[:, dd])
             if dd == 0:
                 dev, back_finite = dev_dd, np.isfinite(y_back)
@@ -181,11 +185,19 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
         valid &= fx > 0.0
         valid &= dev <= (y_tol if n == rows else np.tile(y_tol, n // rows))
         valid &= back_finite
-        jac[:] = m.part_jac(part_index, xc, karr)
-        bad = valid & ~(jac > JAC_SINGULAR_TOL)
         invalid = ~valid
-        np.copyto(jac, 1.0, where=invalid)
-        np.divide(fx, jac, out=weight)
+        c = None if code.jac is None else m.part_jac_value(part_index, xc, k)
+        if c is not None and c.ndim == 0:
+            # |det J| is one number c on every row: no per-row Jacobian
+            np.divide(fx, c, out=weight)
+            jac.fill(c)
+            np.copyto(jac, 1.0, where=invalid)
+            bad = None if c > JAC_SINGULAR_TOL else valid.copy()
+        else:
+            jac[:] = m.part_jac(part_index, xc, k) if c is None else c
+            bad = valid & ~(jac > JAC_SINGULAR_TOL)
+            np.copyto(jac, 1.0, where=invalid)
+            np.divide(fx, jac, out=weight)
         np.copyto(weight, 0.0, where=invalid)
     return bad
 
@@ -223,7 +235,8 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
              weight[blk].reshape(-1), jac[blk].reshape(-1)))
         for j in range(count):
             s = s0 + j
-            _check_jacobian(x[s], jac[s], bad[j * rows:(j + 1) * rows])
+            _check_jacobian(x[s], jac[s], None if bad is None
+                            else bad[j * rows:(j + 1) * rows])
             kept += 1
             running += weight[s]
             if np.any(valid[s]):

@@ -100,3 +100,15 @@ def test_atom_scan_reads_the_sample_of_the_preceding_classify(setups,
     rep = cli.build_report(setup, 20_000, 3, 8, setup.analysis.depths, 1)
     assert len(draws) == 1
     assert rep["atoms"] == [{"y": list(y), "mass": mass} for y, mass in fresh]
+
+
+@pytest.mark.parametrize("name", ["ex6_m1", "identity"])
+def test_zero_sample_size_raises_in_classify(setups, name):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        classify(setups[name].pmap, setups[name].density, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["ex6_m1", "identity"])
+def test_zero_sample_size_raises_in_atom_scan(setups, name):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        atom_scan(setups[name].pmap, setups[name].density, 0, 1)

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from infoloss.exprlang import (
+    BINARY_FUNCTIONS,
+    COMPARISONS,
+    UNARY_FUNCTIONS,
     Binary,
     Const,
     EvalError,
@@ -18,6 +22,7 @@ from infoloss.exprlang import (
     UnboundVariableError,
     UnknownFunctionError,
     Var,
+    compile_expr,
     eval_array,
     evaluate,
     free_vars,
@@ -284,3 +289,257 @@ def test_parser_total_over_arbitrary_text(text):
         parse(text)
     except (ExprSyntaxError, UnknownFunctionError):
         pass
+
+
+# --- differential: the compiled closures against the tree walk -------------------
+#
+# ``walk_eval`` is the tree walk the compiler replaced: booleans as
+# 1.0 / 0.0 floats, strict checks at each node's operands in post-order,
+# left operand first.  The compiled closures must give the same bytes,
+# dtype and type, and raise the same errors.
+
+_WALK_UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt,
+               "exp": np.exp, "ln": np.log, "log2": np.log2,
+               "floor": np.floor, "sign": np.sign, "arctan": np.arctan,
+               "sin": np.sin, "cos": np.cos}
+_WALK_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                "/": np.divide, "^": np.power, "min": np.minimum,
+                "max": np.maximum, "atan2": np.arctan2}
+_WALK_COMPARE = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+                 ">=": np.greater_equal}
+_CONSTANTS = {"pi": math.pi, "e": math.e, "gamma": 0.5772156649015329}
+
+
+def _walk_singular(op, a, b=None):
+    if op == "sqrt" and a < 0.0:
+        return "sqrt_neg"
+    if op in ("ln", "log2") and a <= 0.0:
+        return "log_nonpos"
+    if (op == "/" and b == 0.0) or (op == "^" and a == 0.0 and b < 0.0):
+        return "div_zero"
+    if op == "^" and a < 0.0 and b != np.floor(b):
+        return "pow_domain"
+    return None
+
+
+def walk_eval(e, binding, strict):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Const):
+        return _CONSTANTS[e.name]
+    if isinstance(e, Var):
+        try:
+            return binding[e.name]
+        except KeyError:
+            raise UnboundVariableError(e.name) from None
+    if isinstance(e, Unary):
+        a = walk_eval(e.a, binding, strict)
+        if strict and (kind := _walk_singular(e.op, a)):
+            raise EvalError(kind, to_string(e))
+        if e.op == "not":
+            return np.where(np.asarray(a) != 0.0, 0.0, 1.0)
+        return _WALK_UNARY[e.op](a)
+    a = walk_eval(e.a, binding, strict)
+    b = walk_eval(e.b, binding, strict)
+    op = e.op
+    if strict and (kind := _walk_singular(op, a, b)):
+        raise EvalError(kind, to_string(e))
+    if op in _WALK_BINARY:
+        return _WALK_BINARY[op](a, b)
+    if op in _WALK_COMPARE:
+        return _WALK_COMPARE[op](a, b).astype(float)
+    if op == "and":
+        return ((np.asarray(a) != 0.0) & (np.asarray(b) != 0.0)).astype(float)
+    return ((np.asarray(a) != 0.0) | (np.asarray(b) != 0.0)).astype(float)
+
+
+def _outcome(fn):
+    """The value, or the error's type and identifying fields."""
+    try:
+        with np.errstate(all="ignore"):
+            return "value", fn()
+    except EvalError as err:
+        return "error", ("EvalError", err.kind, err.location)
+    except UnboundVariableError as err:
+        return "error", ("UnboundVariableError", err.name)
+    except ValueError as err:  # numpy's own, e.g. an int to a negative int power
+        return "error", ("ValueError", str(err))
+
+
+def assert_same_value(got, want):
+    assert type(got) is type(want)
+    g, w = np.asarray(got), np.asarray(want)
+    assert (g.dtype, g.shape) == (w.dtype, w.shape)
+    assert g.tobytes() == w.tobytes()
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got == want
+    else:
+        assert_same_value(got[1], want[1])
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5, 3.0, math.nan, math.inf,
+           -math.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e300]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats())
+VARS = ("x1", "x2", "y1", "k")
+UNARY_OPS = ("neg", "not", *UNARY_FUNCTIONS)
+BINARY_OPS = ("+", "-", "*", "/", "^", "and", "or", *COMPARISONS,
+              *BINARY_FUNCTIONS)
+
+exprs = st.recursive(
+    st.one_of(st.builds(Num, st.one_of(st.sampled_from(SPECIAL),
+                                       st.floats(0.0, 10.0))),
+              st.builds(Const, st.sampled_from(sorted(_CONSTANTS))),
+              st.builds(Var, st.sampled_from(VARS))),
+    lambda kids: st.one_of(st.builds(Unary, st.sampled_from(UNARY_OPS), kids),
+                           st.builds(Binary, st.sampled_from(BINARY_OPS),
+                                     kids, kids)),
+    max_leaves=14)
+
+
+@st.composite
+def bindings(draw):
+    """Python floats, numpy scalars, arrays, broadcasting shapes and int
+    or float32 arrays, one kind per variable; now and then a variable
+    is left unbound."""
+    out = {}
+    for name in VARS:
+        kind = draw(st.sampled_from(["float", "float64", "row", "column",
+                                     "zero_d", "int", "float32", "unbound"]))
+        if kind == "float":
+            out[name] = draw(VALUES)
+        elif kind == "float64":
+            out[name] = np.float64(draw(VALUES))
+        elif kind == "row":
+            out[name] = np.array(draw(st.lists(VALUES, min_size=4, max_size=4)))
+        elif kind == "column":
+            out[name] = np.array(draw(st.lists(VALUES, min_size=3, max_size=3)))[:, None]
+        elif kind == "zero_d":
+            out[name] = np.array(draw(VALUES))
+        elif kind == "int":
+            out[name] = np.array(draw(st.lists(st.integers(-3, 3), min_size=4,
+                                               max_size=4)), dtype=np.int64)
+        elif kind == "float32":
+            with np.errstate(over="ignore"):  # large values round to inf
+                out[name] = np.array(draw(st.lists(VALUES, min_size=4,
+                                                   max_size=4)), dtype=np.float32)
+    return out
+
+
+@settings(max_examples=1000, deadline=None)
+@given(exprs, bindings())
+def test_eval_array_matches_the_tree_walk(e, binding):
+    want = _outcome(lambda: walk_eval(e, binding, False))
+    assert_same_outcome(_outcome(lambda: eval_array(e, binding)), want)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(exprs, st.dictionaries(st.sampled_from(VARS), VALUES))
+def test_strict_evaluate_matches_the_tree_walk(e, binding):
+    floats = {k: float(v) for k, v in binding.items()}
+    want = _outcome(lambda: float(walk_eval(e, floats, True)))
+    assert_same_outcome(_outcome(lambda: evaluate(e, binding)), want)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(x1 > 0) + (x2 > 0)", [2.0, 1.0, 0.0]),
+    ("(x1 > 0) * 3 - (not x2 > 0)", [3.0, 2.0, -1.0]),
+    ("-(x1 > 0 and x2 > 0)", [-1.0, -0.0, -0.0]),
+    ("(x1 > 0) ^ 2 + ((x2 > 0) < (x1 > 0))", [1.0, 2.0, 0.0]),
+])
+def test_predicates_read_by_arithmetic_are_floats(text, want):
+    binding = {"x1": np.array([1.0, 2.0, -1.0]), "x2": np.array([1.0, -1.0, -1.0])}
+    got = eval_array(parse(text), binding)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_logic_on_nan_operands():
+    nan = math.nan
+    binding = {"x1": np.array([nan, nan, 0.0, 1.0]), "x2": np.array([nan, 0.0, nan, 0.0])}
+    cases = {"not x1": [0.0, 0.0, 1.0, 0.0],
+             "x1 and x2": [1.0, 0.0, 0.0, 0.0],
+             "x1 or x2": [1.0, 1.0, 1.0, 1.0],
+             "x1 < 1 or x2": [1.0, 0.0, 1.0, 0.0]}
+    for text, want in cases.items():
+        e = parse(text)
+        assert eval_array(e, binding).tobytes() == np.array(want).tobytes(), text
+        assert compile_expr(e).test(binding).tolist() == [w != 0.0 for w in want]
+
+
+def test_predicate_test_gives_bools_and_value_floats():
+    c = compile_expr(parse("x1 >= 0 and x1 < 1"))
+    binding = {"x1": np.array([-0.5, 0.0, 0.5, 1.0, math.nan])}
+    assert c.test(binding).dtype == bool
+    assert c.test(binding).tolist() == [False, True, True, False, False]
+    assert c.value(binding).tobytes() == np.array([0.0, 1.0, 1.0, 0.0, 0.0]).tobytes()
+    numeric = compile_expr(parse("x1 - 0.5"))
+    assert numeric.test(binding).tolist() == [True, True, False, True, True]
+
+
+def test_constants_fold_with_the_walks_ufuncs():
+    for text in ("2*pi", "-(3^0.5)", "exp(1)/3", "1 < 2 and not 0", "log2(e)",
+                 "1/0", "min(gamma, 0.5) + atan2(1, 2)"):
+        c = compile_expr(parse(text))
+        assert c.constant is not None, text
+        with np.errstate(all="ignore"):
+            assert_same_value(c.value({}), walk_eval(parse(text), {}, False))
+    assert compile_expr(parse("k + 1")).constant is None
+
+
+def test_folded_singular_constants_raise_in_order_in_strict_mode():
+    # the left operand is checked first: x1 < 0 hits sqrt_neg before 1/0
+    e = parse("sqrt(x1) + 1/0")
+    with pytest.raises(EvalError) as err:
+        evaluate(e, {"x1": -1.0})
+    assert (err.value.kind, err.value.location) == ("sqrt_neg", "sqrt(x1)")
+    with pytest.raises(EvalError) as err:
+        evaluate(e, {"x1": 1.0})
+    assert (err.value.kind, err.value.location) == ("div_zero", "(1.0 / 0.0)")
+    with pytest.raises(UnboundVariableError):
+        evaluate(parse("y1 + 1/0"), {})
+    assert np.isinf(eval_array(e, {"x1": 1.0}))
+
+
+def test_unbound_variable_in_every_mode():
+    e = parse("x1 > 0 and y2 < 1")
+    for run in (lambda: eval_array(e, {"x1": np.ones(3)}),
+                lambda: evaluate(e, {"x1": 1.0}),
+                lambda: compile_expr(e).test({"x1": np.ones(3)})):
+        with pytest.raises(UnboundVariableError) as err:
+            run()
+        assert err.value.name == "y2"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    VALUES,
+    hnp.arrays(np.float64, st.integers(0, 40), elements=VALUES),
+    hnp.arrays(np.float64, st.integers(1, 40),
+               elements=st.floats(allow_nan=True, allow_infinity=True,
+                                  allow_subnormal=True)).map(lambda a: a[::2])))
+def test_square_is_power_two_bytes_on_float64(v):
+    x = np.float64(v) if isinstance(v, float) else v
+    for operand in (x, v):
+        got = eval_array(parse("x1^2"), {"x1": operand})
+        with np.errstate(over="ignore"):
+            want = np.power(operand, 2.0)
+        assert_same_value(got, want)
+
+
+@pytest.mark.parametrize("operand", [
+    np.arange(-3, 4), np.arange(-3, 4).astype(np.float32), 3, np.array(2.5),
+    np.array([1.5, 2.5], dtype=">f8")])
+def test_square_keeps_powers_dtype_on_other_operands(operand):
+    assert_same_value(eval_array(parse("x1^2"), {"x1": operand}),
+                      np.power(operand, 2.0))
+
+
+def test_compiled_constant_results_are_the_callers():
+    c = compile_expr(parse("not 1"))
+    first = c.value({})
+    first[...] = 7.0
+    assert c.value({}) == 0.0

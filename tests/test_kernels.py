@@ -20,7 +20,7 @@ from infoloss.config import load_config, preset_path
 from infoloss.errors import SingularJacobianError
 from infoloss.exprlang import eval_array
 from infoloss.loss import _grouped_entropy_bits
-from infoloss.model import JAC_SINGULAR_TOL, Branch
+from infoloss.model import JAC_SINGULAR_TOL, Branch, postcompose_affine
 from infoloss.numerics import TILE_COLUMNS, row_all, row_max, row_prod
 
 
@@ -473,6 +473,12 @@ _BUILD_CASES = {
     "sawtooth_k_max_cut": (lambda: _sawtooth_doc(), _query_points, 3),
     "sawtooth_singular_member": (
         lambda: _sawtooth_doc(jac_abs_det="abs(k - 3)"), _query_points, 64),
+    # constant Jacobians: one number per part, no per-row evaluation
+    "fold_constant_jacobian": (
+        lambda: _fold_doc(below_diagonal="3", above_diagonal="0.5*0.5"),
+        _fold_points, 64),
+    "fold_singular_constant": (
+        lambda: _fold_doc(above_diagonal="2 - 2"), _fold_points, 64),
 }
 
 
@@ -503,11 +509,28 @@ def test_build_candidates_matches_the_stacked_builder(case, rows, member_block):
         assert np.asarray(expected.x).tolist() == [0.5, -0.5]
     elif case == "sawtooth_k_max_cut":
         assert expected.truncated.all() and expected.x.shape[0] == 3
-    elif case == "sawtooth_singular_member":
+    elif case in ("sawtooth_singular_member", "fold_singular_constant"):
         assert isinstance(expected, SingularJacobianError)
     else:
         assert not isinstance(got, SingularJacobianError)
         assert got.x.shape[0] == got.part_of_slot.shape[0]
+
+
+@pytest.mark.parametrize("member_block", [1, transform._MEMBER_BLOCK])
+@pytest.mark.parametrize("rows", [1, 37, 5000])
+def test_constant_jacobian_table_matches_the_stacked_builder(rows, member_block):
+    setup = load_config(_sawtooth_doc())
+    m, d = postcompose_affine(setup.pmap, 2.0, 0.0), setup.density
+    assert m.parts[0].code.jac.constant == 2.0
+    y = 2.0 * _query_points(rows)
+    with patch.object(transform, "_MEMBER_BLOCK", member_block):
+        got = transform.build_candidates(m, d, y)
+    expected = reference_build_candidates(m, d, y, transform.DEFAULT_TOL,
+                                          transform.DEFAULT_K_MAX, member_block)
+    _assert_same(got, expected)
+    assert np.all(got.jac[got.valid] == 2.0)
+    assert np.all(got.jac[~got.valid] == 1.0)
+    assert np.any(~got.valid) or rows == 1
 
 
 # --- tiled posterior entropy ----------------------------------------------------------

@@ -365,6 +365,19 @@ def test_rejection_samplers_keep_the_reference_bytes(setups, form, n, seed):
     assert rate == expected_rate
 
 
+@pytest.mark.parametrize("name", ["ex6_m1", "identity"])
+def test_zero_sample_size_raises_in_sample_with_rate(setups, name):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        setups[name].density.sample_with_rate(0, 1)
+
+
+@pytest.mark.parametrize("name", ["ex6_m1", "identity"])
+def test_zero_sample_size_raises_in_validate(setups, name):
+    s = setups[name]
+    with pytest.raises(ValueError, match="need n >= 1"):
+        validate(s.pmap, s.density, n_probe=0)
+
+
 # --- output relabeling ---------------------------------------------------------
 
 def test_postcompose_affine_consistency(setups):

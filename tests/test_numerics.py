@@ -1,6 +1,10 @@
 """Deterministic sampling, MC aggregation, quadrature."""
 
 import math
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -217,3 +221,56 @@ def test_running_stat_stderr_of_offset_report_sized_chunks(offset):
     values = np.concatenate(chunks)
     truth = math.sqrt(np.var(values - offset, ddof=1) / values.size)
     assert _merged(chunks).stderr == pytest.approx(truth, rel=1e-6)
+
+
+_SCIPY_PROBE = """
+import sys
+import infoloss
+from infoloss import cli
+setup = infoloss.load_config_file(infoloss.preset_path({preset!r}))
+cli.build_report(setup, 2000, 1, 16, (0, 1), 1)
+print("scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("preset, loaded", [("ex6_m1", False),
+                                            ("ex2_square_gaussian", True)])
+def test_scipy_special_is_imported_only_to_sample_a_gaussian(preset, loaded):
+    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE.format(preset=preset)],
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split()[-1] == str(loaded)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_chunks_order_errors_and_the_calling_thread(workers):
+    plan = chunk_plan(10 * 1000, 1000)
+    ran, threads = [], set()
+
+    def fn(c, m):
+        time.sleep(0.01)
+        ran.append(c)
+        threads.add(threading.get_ident())
+        if c in (7, 3):
+            raise RuntimeError(f"chunk {c}")
+        return c * m
+
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        run_chunks(fn, plan, workers)
+    assert sorted(ran) == list(range(10))  # every chunk runs
+    assert threading.get_ident() in threads and len(threads) <= workers
+    assert run_chunks(lambda c, m: (c, m), plan, workers) == plan
+
+
+def test_run_chunks_stress_hands_out_each_chunk_once():
+    plan = chunk_plan(3000, 1)
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.monotonic()
+        out = run_chunks(lambda c, m: calls.append(c) or c, plan, 8)
+        assert time.monotonic() - t0 < 60
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(3000))
+    assert sorted(calls) == list(range(3000))
