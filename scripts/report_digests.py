@@ -19,7 +19,12 @@ table before and after; a change that may move only standard errors
 keeps the masked columns.  Exits 1 if a report fails or if the two
 worker counts give different bytes for some preset.
 
-    python3 scripts/report_digests.py [--n N] [--seed S]
+With ``--expect FILE`` each printed line is also compared with the
+``report_digests.change`` table of a recorded ``BENCH_*.json``; every
+preset whose line differs from the table's, or that only one of them
+has, is named on stderr and the exit status is 1.
+
+    python3 scripts/report_digests.py [--n N] [--seed S] [--expect FILE]
 """
 
 from __future__ import annotations
@@ -77,18 +82,36 @@ def digest(name: str, n: int, seed: int, workers: int) -> tuple[str, str]:
     return _short(res.stdout), _short(text.encode())
 
 
+def expected_lines(path: str) -> dict[str, str]:
+    """The recorded table of a ``BENCH_*.json``, one line per preset."""
+    table = json.loads(Path(path).read_text())["report_digests"]["change"]
+    return {line.split()[0]: line for line in table}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=300_000)
     ap.add_argument("--seed", type=int, default=5)
+    ap.add_argument("--expect", metavar="FILE",
+                    help="BENCH_*.json whose report_digests.change table "
+                         "the printed lines must equal")
     args = ap.parse_args(argv)
+    expect = expected_lines(args.expect) if args.expect else None
     status = 0
     for name in presets():
         full, masked = zip(*(digest(name, args.n, args.seed, w)
                              for w in WORKERS))
-        print(name, *full, *masked, flush=True)
+        line = " ".join((name, *full, *masked))
+        print(line, flush=True)
         if len(set(full)) != 1 or len(set(masked)) != 1:
             status = 1
+        if expect is not None and expect.pop(name, None) != line:
+            print(f"differs from {args.expect}: {name}", file=sys.stderr)
+            status = 1
+    for name in expect or ():
+        print(f"differs from {args.expect}: {name} (not printed)",
+              file=sys.stderr)
+        status = 1
     return status
 
 

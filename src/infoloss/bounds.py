@@ -25,7 +25,7 @@ import numpy as np
 from .classify import Classification, classify  # noqa: F401
 from .loss import CardinalityTally, estimate
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
-from .numerics import CHUNK_SIZE, run_chunks  # noqa: F401
+from .numerics import run_chunks  # noqa: F401
 from .transform import DEFAULT_TOL, build_candidates  # noqa: F401
 
 # The chunk work and the Infinite gate run in ``loss.estimate``.
@@ -96,13 +96,12 @@ def _plugin_entropy(counts: dict[int, int], n: int) -> tuple[float, float]:
 
 def bounds_report(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                   tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
-                  chunk_size: int = CHUNK_SIZE, workers: int = 1,
+                  workers: int = 1,
                   classification: Optional[Classification] = None
                   ) -> BoundsReport:
     """Sample x ~ f_X, count preimages of g(x), and tally subdomains.
     Raises :class:`InfiniteLossError` for a map classified Infinite."""
     tally = estimate(m, d, n, seed, ("bounds",), tol=tol, k_max=k_max,
-                     chunk_size=chunk_size, workers=workers,
-                     classification=classification)["bounds"]
+                     workers=workers, classification=classification)["bounds"]
     return BoundsReport.from_tally(m, tally, n, seed)
 

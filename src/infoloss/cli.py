@@ -116,15 +116,9 @@ def cmd_loss(args) -> int:
     if method == "eq5_quadrature":
         rep = loss_mod.loss_eq5_quadrature(m, d, nodes, tol=a.tol,
                                            k_max=a.k_max, seed=seed)
-    elif method == "corollary1":
-        rep = loss_mod.loss_corollary1(m, d, n, seed, tol=a.tol,
-                                       k_max=a.k_max, workers=workers)
-    elif method == "branch_posterior":
-        rep = loss_mod.loss_branch_posterior(m, d, n, seed, tol=a.tol,
-                                             k_max=a.k_max, workers=workers)
     else:
-        rep = loss_mod.loss_eq5_mc(m, d, n, seed, tol=a.tol,
-                                   k_max=a.k_max, workers=workers)
+        rep = loss_mod.estimate(m, d, n, seed, (method,), tol=a.tol,
+                                k_max=a.k_max, workers=workers)[method]
     _emit(rep.to_dict())
     return EXIT_OK
 

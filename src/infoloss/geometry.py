@@ -59,7 +59,6 @@ class Region:
 
     predicate: Expr
     bbox: Box
-    extra_binding: dict = field(default_factory=dict, compare=False)
     compiled: Compiled = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -73,9 +72,6 @@ class Region:
         return self.test({f"x{d + 1}": x[:, d] for d in range(x.shape[1])})
 
     def test(self, binding: dict) -> np.ndarray:
-        """Membership of the points a binding of x1..xN names (the
-        predicate's bools; ``extra_binding`` binds the other names)."""
-        if self.extra_binding:
-            binding = {**binding, **self.extra_binding}
+        """The predicate's bools on a binding of x1..xN (and k in a family)."""
         with np.errstate(all="ignore"):
             return self.compiled.test(binding)

@@ -28,7 +28,10 @@ each chunk's pipeline stages only as far as the requested estimators
 read them, and hands the chunk to each estimator's reducer.  The report
 requests all estimators in one call, so they share one pass over the
 sample stream; the public functions select one estimator each and give
-the same numbers as the shared pass.
+the same numbers as the shared pass.  The quadrature reads the same
+chunk stages on the blocks of its grid, so one pipeline turns points
+into the dispatch, forward map, Jacobian, density and candidate table
+of every route.
 """
 
 from __future__ import annotations
@@ -43,14 +46,13 @@ from .classify import Classification, classify
 from .errors import InfiniteLossError, SingularJacobianError, ZeroDensityError
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
 from .numerics import (
-    CHUNK_SIZE,
     MCResult,
-    RunningStat,
     TILE_COLUMNS,
     chunk_moments,
     chunk_plan,
     column_tiles,
     derived_seed,
+    merge_moments,
     run_chunks,
     tensor_quadrature,
 )
@@ -126,15 +128,15 @@ def _gate(m: PiecewiseMap, d: InputDensity, seed: int,
 
 
 class _Chunk:
-    """One chunk of the sample stream, x ~ f_X under the chunk's Philox
-    key, with the pipeline stages built on first use and then shared by
-    every estimator that reads the chunk: dispatch, forward map,
-    Jacobian, input density and the preimage candidate table at g(x)."""
+    """A block of points x, with the pipeline stages built on first use
+    and then shared by every estimator that reads the block: dispatch,
+    forward map, Jacobian, input density and the preimage candidate
+    table at g(x).  The Monte-Carlo walk passes one chunk of the sample
+    stream, the quadrature one grid block's points of positive density."""
 
     def __init__(self, m: Optional[PiecewiseMap], d: InputDensity,
-                 chunk_seed: int, mlen: int, tol: float, k_max: int):
-        self.m, self.d, self.tol, self.k_max = m, d, tol, k_max
-        self.x = d.sample(mlen, chunk_seed)
+                 x: np.ndarray, tol: float, k_max: int):
+        self.m, self.d, self.x, self.tol, self.k_max = m, d, x, tol, k_max
 
     @cached_property
     def dispatch(self) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +328,7 @@ def _walk(m, d, seed: int, jobs: dict, tol: float, k_max: int,
     Returns, per reducer name, its per-chunk summaries in job order.
     """
     def one(c, mlen):
-        ch = _Chunk(m, d, derived_seed(seed, c), mlen, tol, k_max)
+        ch = _Chunk(m, d, d.sample(mlen, derived_seed(seed, c)), tol, k_max)
         return [(name, reduce(ch)) for name, reduce in jobs[c, mlen].items()]
 
     out: dict[str, list] = {}
@@ -336,17 +338,10 @@ def _walk(m, d, seed: int, jobs: dict, tol: float, k_max: int,
     return out
 
 
-def _one_estimator(m, d, n: int, seed: int, reduce, chunk_size: int,
-                   workers: int) -> list:
-    jobs = {cm: {"v": reduce} for cm in chunk_plan(n, chunk_size)}
-    return _walk(m, d, seed, jobs, DEFAULT_TOL, DEFAULT_K_MAX, workers)["v"]
-
-
-def _stat(moments) -> MCResult:
-    stat = RunningStat()
-    for s, ss, count in moments:
-        stat.add_moments(s, ss, count)
-    return stat.result()
+def _one_estimator(m, d, n: int, seed: int, reduce, workers: int) -> MCResult:
+    jobs = {cm: {"v": reduce} for cm in chunk_plan(n)}
+    return merge_moments(
+        _walk(m, d, seed, jobs, DEFAULT_TOL, DEFAULT_K_MAX, workers)["v"])
 
 
 def _merge_counts(per_chunk) -> dict[int, int]:
@@ -371,7 +366,7 @@ class CardinalityTally:
 
 def _corollary1_report(d: InputDensity, per_chunk, n: int, seed: int,
                        truncated: bool, excluded: float) -> LossReport:
-    total, hx_mc, hy, ejac = (_stat(col) for col in zip(*per_chunk))
+    total, hx_mc, hy, ejac = (merge_moments(col) for col in zip(*per_chunk))
     exact_hx = d.exact_diffent_bits
     if exact_hx is not None:
         h_x, h_x_stderr = float(exact_hx), 0.0
@@ -392,7 +387,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
              estimators: Sequence[str], depths: Sequence[int] = (),
              sweep_n: Optional[int] = None,
              tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
-             chunk_size: int = CHUNK_SIZE, workers: int = 1,
+             workers: int = 1,
              classification: Optional[Classification] = None) -> dict:
     """Run the requested estimators over one pass of the sample stream.
 
@@ -412,7 +407,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
     main = {name: _REDUCERS[name] for name in estimators if name != "sweep"}
     if main:
         main["flags"] = _flags  # last: the reducers' checks come first
-    jobs = {cm: dict(main) for cm in chunk_plan(n, chunk_size)} if main else {}
+    jobs = {cm: dict(main) for cm in chunk_plan(n)} if main else {}
     if "sweep" in estimators:
         depths = [int(v) for v in depths]
         if any(v < 0 for v in depths):
@@ -422,7 +417,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                              f"got depths {depths} at dim {m.dim}")
         sweep = partial(_sweep_depths, depths=depths)
         sweep_n = n if sweep_n is None else sweep_n
-        for cm in chunk_plan(sweep_n, chunk_size):
+        for cm in chunk_plan(sweep_n):
             jobs.setdefault(cm, {})["sweep"] = sweep
 
     out = _walk(m, d, seed, jobs, tol, k_max, workers)
@@ -432,7 +427,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
         excluded = sum(e for _, e in out["flags"]) / n
     for route in ("eq5_mc", "branch_posterior"):
         if route in out:
-            r = _stat(out[route])
+            r = merge_moments(out[route])
             res[route] = LossReport(r.mean, r.stderr, route, n, seed,
                                     truncated=truncated,
                                     excluded_fraction=excluded)
@@ -441,10 +436,11 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                                                truncated, excluded)
     if "bounds" in out:
         logs, cards, maxes, counts = zip(*out["bounds"])
-        res["bounds"] = CardinalityTally(_stat(logs), _stat(cards), max(maxes),
+        res["bounds"] = CardinalityTally(merge_moments(logs),
+                                         merge_moments(cards), max(maxes),
                                          _merge_counts(counts), truncated)
     if "sweep" in out:
-        results = [_stat(col) for col in zip(*out["sweep"])]
+        results = [merge_moments(col) for col in zip(*out["sweep"])]
         res["sweep"] = PartitionSweep(tuple(depths),
                                       tuple(r.mean for r in results),
                                       tuple(r.stderr for r in results),
@@ -454,12 +450,11 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
 
 def loss_eq5_mc(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                 tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
-                chunk_size: int = CHUNK_SIZE, workers: int = 1,
+                workers: int = 1,
                 classification: Optional[Classification] = None) -> LossReport:
     """Monte-Carlo mean of the exact loss integrand over x ~ f_X."""
     return estimate(m, d, n, seed, ("eq5_mc",), tol=tol, k_max=k_max,
-                    chunk_size=chunk_size, workers=workers,
-                    classification=classification)["eq5_mc"]
+                    workers=workers, classification=classification)["eq5_mc"]
 
 
 def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
@@ -473,54 +468,53 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
     straddling region boundaries contribute via their midpoint's branch.
     """
     _gate(m, d, seed, classification)
-    bij = np.array([p.kind == "bijective" for p in m.parts], dtype=bool)
-    truncated = {"flag": False}
+    truncated = False
 
     def integrand(pts: np.ndarray) -> np.ndarray:
+        nonlocal truncated
         out = np.zeros(pts.shape[0])
         fx = d.pdf_batch(pts)
         live = fx > 0.0
         if not np.any(live):
             return out
-        xs = pts[live]
-        part_idx, k = m.dispatch_batch(xs)
-        ok = bij[part_idx]
+        ch = _Chunk(m, d, pts[live], tol, k_max)
+        ch.fx = fx[live]  # the fx stage, already computed
+        ok = ch.ok
         if not np.any(ok):
             return out
-        y = m.forward_batch(xs[ok], part_idx[ok], k[ok])
-        jac = m.jac_batch(xs[ok], part_idx[ok], k[ok])
-        table = build_candidates(m, d, y, tol, k_max)
-        truncated["flag"] |= bool(table.truncated.any())
-        fxl = fx[live][ok]
-        v = np.zeros(xs.shape[0])
-        v[ok] = fxl * np.log2(np.maximum(table.f_y, 1e-300) * jac / fxl)
+        jac = ch.jac[ok]  # a singular Jacobian is reported before the table
+        t = ch.table
+        truncated |= bool(t.truncated.any())
+        fxl = ch.fx[ok]
+        v = np.zeros(ok.shape[0])
+        v[ok] = fxl * np.log2(np.maximum(t.f_y[ok], 1e-300) * jac / fxl)
         out[live] = v
         return out
 
     total = tensor_quadrature(d.support.bbox, integrand, nodes_per_dim)
     return LossReport(total, 0.0, "eq5_quadrature", nodes_per_dim ** m.dim,
-                      seed, truncated=truncated["flag"])
+                      seed, truncated=truncated)
 
 
 def loss_corollary1(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                     tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
-                    chunk_size: int = CHUNK_SIZE, workers: int = 1,
+                    workers: int = 1,
                     classification: Optional[Classification] = None) -> LossReport:
     """h(X) - h(Y) + E[log2 |det J|], each term estimated on one sample
     stream; h(X) is taken exactly from the model when declared."""
     return estimate(m, d, n, seed, ("corollary1",), tol=tol, k_max=k_max,
-                    chunk_size=chunk_size, workers=workers,
+                    workers=workers,
                     classification=classification)["corollary1"]
 
 
 def loss_branch_posterior(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                           tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
-                          chunk_size: int = CHUNK_SIZE, workers: int = 1,
+                          workers: int = 1,
                           classification: Optional[Classification] = None
                           ) -> LossReport:
     """Mean Shannon entropy (bits) of the subdomain posterior at y = g(x)."""
     return estimate(m, d, n, seed, ("branch_posterior",), tol=tol,
-                    k_max=k_max, chunk_size=chunk_size, workers=workers,
+                    k_max=k_max, workers=workers,
                     classification=classification)["branch_posterior"]
 
 
@@ -593,32 +587,27 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray) -> np.ndarray:
 def partition_sweep(m: PiecewiseMap, d: InputDensity, depths: Sequence[int],
                     n: int, seed: int,
                     tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX,
-                    chunk_size: int = CHUNK_SIZE, workers: int = 1,
+                    workers: int = 1,
                     classification: Optional[Classification] = None
                     ) -> PartitionSweep:
     """Quantized-input loss H(X_hat | Y) on dyadic grids over the support
     box, one entry per depth (2**depth cells per axis).  The sequence is
     nondecreasing in depth and converges to the full loss."""
     return estimate(m, d, n, seed, ("sweep",), depths=depths, tol=tol,
-                    k_max=k_max, chunk_size=chunk_size, workers=workers,
+                    k_max=k_max, workers=workers,
                     classification=classification)["sweep"]
 
 
 # --- single-estimator building blocks -------------------------------------------
 
 def differential_entropy_mc(d: InputDensity, n: int, seed: int,
-                            chunk_size: int = CHUNK_SIZE,
                             workers: int = 1) -> MCResult:
     """Plug-in differential entropy of the input, -E[log2 f_X(X)], in bits."""
-    return _stat(_one_estimator(None, d, n, seed, _neg_log_fx, chunk_size,
-                                workers))
+    return _one_estimator(None, d, n, seed, _neg_log_fx, workers)
 
 
 def expected_log_jacdet(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
-                        chunk_size: int = CHUNK_SIZE,
                         workers: int = 1) -> MCResult:
     """E[log2 |det J(X)|] over x ~ f_X, in bits."""
-    return _stat(_one_estimator(m, d, n, seed,
-                                lambda ch: chunk_moments(_log_jac(ch)),
-                                chunk_size, workers))
-
+    return _one_estimator(m, d, n, seed,
+                          lambda ch: chunk_moments(_log_jac(ch)), workers)

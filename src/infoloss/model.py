@@ -150,12 +150,6 @@ class BranchFamily:
     def kind(self) -> str:
         return "bijective"
 
-    def member_region(self, k) -> Region:
-        """The region of member ``k``; an array ``k`` names one member per
-        row of the points tested."""
-        return Region(self.region_of_k, self.bbox,
-                      extra_binding={"k": np.asarray(k, dtype=float)})
-
 
 Part = Union[Branch, BranchFamily]
 

@@ -5,9 +5,10 @@ counter-based generator whose bit stream is fixed by its key alone, so
 the value of draw ``i`` of chunk ``c`` under base seed ``s`` is a pure
 function of ``(s, c, i)`` on every platform.  Estimators split their
 sample budget into fixed chunks of ``CHUNK_SIZE`` draws; chunk ``c``
-uses the derived key ``(s + c) mod 2**64``.  Chunk partial sums are
-merged with exact summation (``math.fsum``), so results are bit
-identical no matter how many workers execute the chunks.
+uses the derived key ``(s + c) mod 2**64``.  Each chunk is reduced to
+its (sum, M2, count) moments, and ``merge_moments`` merges them with
+exact summation (``math.fsum``), so results are bit identical no matter
+how many workers execute the chunks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ __all__ = [
     "derived_seed",
     "chunk_plan",
     "run_chunks",
-    "RunningStat",
+    "merge_moments",
     "chunk_moments",
     "row_max",
     "row_all",
@@ -61,8 +62,9 @@ class MCResult:
     n: int
 
 
-class RunningStat:
-    """Per-chunk (sum, M2, count) triples, merged exactly.
+def merge_moments(moments: Iterable[tuple[float, float, int]]) -> MCResult:
+    """Merge per-chunk (sum, M2, count) triples exactly into one mean
+    and standard error.
 
     M2 is the chunk's sum of squared deviations from its own mean.  The
     mean is ``fsum(sums) / n``; the variance is the merge of Chan, Golub
@@ -70,35 +72,25 @@ class RunningStat:
     ``M2_c + n_c (mean_c - mean)**2``, over n - 1, which stays accurate
     when the values sit far from zero (the sum of squares minus
     n mean**2 cancels there).  ``math.fsum`` is correctly rounded, so
-    the merged result does not depend on the order chunks are added in.
+    the result does not depend on the order of the chunks.
     """
-
-    def __init__(self):
-        self._chunks: list[tuple[float, float, int]] = []
-        self._n = 0
-
-    def add_moments(self, s: float, m2: float, n: int) -> None:
-        """Merge one chunk's ``chunk_moments``."""
-        self._chunks.append((s, m2, n))
-        self._n += n
-
-    def result(self) -> MCResult:
-        n = self._n
-        if n == 0:
-            return MCResult(math.nan, math.nan, 0)
-        mean = math.fsum(s for s, _, _ in self._chunks) / n
-        if n > 1:
-            m2 = math.fsum(term for s, m2_c, n_c in self._chunks if n_c
-                           for term in (m2_c, n_c * (s / n_c - mean) ** 2))
-            stderr = math.sqrt(m2 / (n - 1) / n)
-        else:
-            stderr = math.inf
-        return MCResult(mean, stderr, n)
+    chunks = list(moments)
+    n = sum(n_c for _, _, n_c in chunks)
+    if n == 0:
+        return MCResult(math.nan, math.nan, 0)
+    mean = math.fsum(s for s, _, _ in chunks) / n
+    if n > 1:
+        m2 = math.fsum(term for s, m2_c, n_c in chunks if n_c
+                       for term in (m2_c, n_c * (s / n_c - mean) ** 2))
+        stderr = math.sqrt(m2 / (n - 1) / n)
+    else:
+        stderr = math.inf
+    return MCResult(mean, stderr, n)
 
 
 def chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
     """(sum, sum of squared deviations from the chunk mean, count) of
-    one chunk's values, the part of a chunk that ``RunningStat`` keeps."""
+    one chunk's values, the part of a chunk that ``merge_moments`` reads."""
     v = np.asarray(values, dtype=float)
     s = float(np.sum(v))
     if v.size == 0:

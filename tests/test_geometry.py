@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from infoloss.exprlang import parse
+from infoloss.exprlang import Num, parse, substitute
 from infoloss.geometry import Box, Region, box_volume
 from infoloss.model import Branch
 from infoloss.numerics import make_generator, uniform_box_sample
@@ -82,6 +82,12 @@ def test_bbox_soundness_sampled(setups):
             assert np.all(part.region.bbox.contains_points(pts[inside])), name
 
 
+def member_region(family, k: int) -> Region:
+    """The region of member ``k`` of a branch family."""
+    return Region(substitute(family.region_of_k, {"k": Num(float(k))}),
+                  family.bbox)
+
+
 def preset_regions(setup):
     yield "support", setup.density.support
     for part in setup.pmap.parts:
@@ -89,7 +95,7 @@ def preset_regions(setup):
             yield part.name, part.region
         else:
             for k in range(part.k_lo, part.k_lo + 4):
-                yield f"{part.name}[k={k}]", part.member_region(k)
+                yield f"{part.name}[k={k}]", member_region(part, k)
 
 
 def test_contains_matches_contains_batch_on_every_preset_region(setups):

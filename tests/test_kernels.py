@@ -333,10 +333,12 @@ def _reference_slot(m, d, part_index, y, ks, tol):
                           for inv in p.inverse]).astype(float)
     finite = row_all(np.isfinite(xc))
     xc = np.where(finite[:, None], xc, 0.0)
-    region = p.region if ks is None else p.member_region(kb)
-    in_region = region.contains_batch(xc)
-    fx = d.pdf_batch(xc)
     xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
+    if ks is None:
+        in_region = p.region.contains_batch(xc)
+    else:  # the member region, with k bound per row
+        in_region = p.code.region.test({**xbind, "k": kb})
+    fx = d.pdf_batch(xc)
     if karr is not None:
         xbind["k"] = karr
     y_back = np.column_stack([np.broadcast_to(eval_array(fe, xbind), (n,))

@@ -1,14 +1,17 @@
 """Loss estimators and the partition sweep (module-level checks;
 full-tolerance runs live in the acceptance suite)."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from infoloss.classify import classify
 from infoloss.config import load_config
 from infoloss.errors import DimensionTooHighError, InfiniteLossError
 from infoloss.loss import (
+    LossReport,
     differential_entropy_mc,
     expected_log_jacdet,
     loss_branch_posterior,
@@ -17,6 +20,8 @@ from infoloss.loss import (
     loss_eq5_quadrature,
     partition_sweep,
 )
+from infoloss.numerics import tensor_quadrature
+from infoloss.transform import build_candidates
 
 GAUSSIAN_DIFFENT_BITS = 2.047095585180641   # 0.5*log2(2*pi*e)
 EX2_E_LOGJAC_BITS = 0.08362691136156641     # (ln2/2 - gamma/2)*log2(e)
@@ -226,6 +231,53 @@ def test_quadrature_agrees_with_mc(setups):
         quad = loss_eq5_quadrature(setup.pmap, setup.density, nodes)
         assert abs(quad.loss_bits - mc.loss_bits) <= \
             3 * mc.stderr_bits + qtol, name
+
+
+def reference_quadrature(m, d, nodes_per_dim, tol, k_max, seed=0):
+    """``loss_eq5_quadrature`` as it was written before it read the chunk
+    pipeline: its own bijective mask and direct stage calls, with the
+    table built on the bijective rows only (no Infinite gate)."""
+    bij = np.array([p.kind == "bijective" for p in m.parts], dtype=bool)
+    truncated = False
+
+    def integrand(pts):
+        nonlocal truncated
+        out = np.zeros(pts.shape[0])
+        fx = d.pdf_batch(pts)
+        live = fx > 0.0
+        if not np.any(live):
+            return out
+        xs = pts[live]
+        part_idx, k = m.dispatch_batch(xs)
+        ok = bij[part_idx]
+        if not np.any(ok):
+            return out
+        y = m.forward_batch(xs[ok], part_idx[ok], k[ok])
+        jac = m.jac_batch(xs[ok], part_idx[ok], k[ok])
+        table = build_candidates(m, d, y, tol, k_max)
+        truncated |= bool(table.truncated.any())
+        fxl = fx[live][ok]
+        v = np.zeros(xs.shape[0])
+        v[ok] = fxl * np.log2(np.maximum(table.f_y, 1e-300) * jac / fxl)
+        out[live] = v
+        return out
+
+    total = tensor_quadrature(d.support.bbox, integrand, nodes_per_dim)
+    return LossReport(total, 0.0, "eq5_quadrature", nodes_per_dim ** m.dim,
+                      seed, truncated=truncated)
+
+
+@pytest.mark.parametrize("nodes", [64, 512])
+@pytest.mark.parametrize("name", ["ex1_fold_square", "ex2_square_gaussian",
+                                  "ex3_exp_sawtooth", "ex4_polar_unitdisc",
+                                  "ex6_m1"])
+def test_quadrature_equals_its_former_integrand(setups, name, nodes):
+    setup = setups[name]
+    m, d, a = setup.pmap, setup.density, setup.analysis
+    got = loss_eq5_quadrature(m, d, nodes, tol=a.tol, k_max=a.k_max,
+                              classification=classify(m, d, 10_000, 1))
+    want = reference_quadrature(m, d, nodes, a.tol, a.k_max)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_posterior_route_sawtooth_series(setups):

@@ -17,13 +17,13 @@ from infoloss.geometry import Box, Region
 from infoloss.model import InputDensity
 from infoloss.numerics import (
     MCResult,
-    RunningStat,
     chunk_moments,
     chunk_plan,
     derived_seed,
     exponential_sample,
     gaussian_iid_sample,
     make_generator,
+    merge_moments,
     rejection_sample,
     run_chunks,
     tensor_quadrature,
@@ -42,10 +42,7 @@ def mc_expectation(integrand, n, seed, workers=1):
     def one(c, m):
         return chunk_moments(integrand(unit_source(derived_seed(seed, c), m)))
 
-    stat = RunningStat()
-    for moments in run_chunks(one, chunk_plan(n), workers):
-        stat.add_moments(*moments)
-    return stat.result()
+    return merge_moments(run_chunks(one, chunk_plan(n), workers))
 
 
 def test_constant_integrand():
@@ -78,13 +75,19 @@ def test_chunk_decomposition_is_seeded_per_chunk():
 
 def test_running_stat_merge_order_independent():
     rng = np.random.default_rng(0)
-    chunks = [rng.normal(size=100) for _ in range(5)]
-    a, b = RunningStat(), RunningStat()
-    for c in chunks:
-        a.add_moments(*chunk_moments(c))
-    for c in reversed(chunks):
-        b.add_moments(*chunk_moments(c))
-    assert a.result() == b.result()
+    moments = [chunk_moments(rng.normal(size=100)) for _ in range(5)]
+    assert merge_moments(moments) == merge_moments(reversed(moments))
+
+
+def test_merge_moments_of_no_chunks_is_empty():
+    got = merge_moments([])
+    assert math.isnan(got.mean) and math.isnan(got.stderr) and got.n == 0
+
+
+def test_merge_moments_of_one_value_has_infinite_stderr():
+    got = merge_moments([chunk_moments(np.array([])),
+                         chunk_moments(np.array([2.5]))])
+    assert got == MCResult(2.5, math.inf, 1)
 
 
 def test_gaussian_sampler_moments():
@@ -164,19 +167,13 @@ def test_running_stat_merges_chunk_moments_exactly():
     # the chunks' moments must equal the moments of their concatenation
     rng = np.random.default_rng(1)
     chunks = [rng.integers(-8192, 8192, size=n) / 8.0 for n in (100, 37, 1)]
-    a, b = RunningStat(), RunningStat()
-    for c in chunks:
-        a.add_moments(*chunk_moments(c))
-    b.add_moments(*chunk_moments(np.concatenate(chunks)))
-    assert a.result() == b.result()
-    assert a.result().n == 138
+    a = _merged(chunks)
+    assert a == _merged([np.concatenate(chunks)])
+    assert a.n == 138
 
 
 def _merged(chunks) -> MCResult:
-    stat = RunningStat()
-    for c in chunks:
-        stat.add_moments(*chunk_moments(c))
-    return stat.result()
+    return merge_moments(chunk_moments(c) for c in chunks)
 
 
 @st.composite

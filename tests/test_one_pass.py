@@ -4,16 +4,19 @@
 chunk plan, while each public selector runs its estimator on its own.
 These tests pin that both give the same bytes, that the report builds
 each chunk once, and that a selector builds only the pipeline stages
-its estimator reads.
+its estimator reads.  The quadrature builds its chunks from grid blocks;
+the quadrature's own tests compare it with its former private integrand.
 """
 
 import json
+from functools import cached_property
 
 import pytest
 
 from infoloss import cli, loss, transform
 from infoloss.bounds import bounds_report
 from infoloss.classify import classify
+from infoloss.model import InputDensity
 from infoloss.numerics import CHUNK_SIZE, chunk_plan
 
 N = CHUNK_SIZE + 464          # one full chunk and a partial one
@@ -50,29 +53,55 @@ def test_report_equals_standalone_selectors(setups, monkeypatch, name, workers):
         m, d, a.depths, SWEEP_CAP, SEED, **kw).to_dict())
 
 
-def _record_chunks(monkeypatch) -> list:
-    chunks = []
+def _record_chunks(monkeypatch) -> tuple[list, list]:
+    """Every chunk built, and every sample drawn (``InputDensity.sample``).
+    A chunk that evaluates its own fx stage is marked ``fx_evaluated``."""
+    chunks, samples = [], []
+    chunk = loss._Chunk
 
-    class Recording(loss._Chunk):
+    class Recording(chunk):
+        fx_evaluated = False
+
         def __init__(self, *args):
             super().__init__(*args)
             chunks.append(self)
 
+        @cached_property
+        def fx(self):
+            self.fx_evaluated = True
+            return chunk.fx.func(self)
+
+    sample = InputDensity.sample
+
+    def recording_sample(self, n, seed):
+        x = sample(self, n, seed)
+        samples.append(x)
+        return x
+
     monkeypatch.setattr(loss, "_Chunk", Recording)
-    return chunks
+    monkeypatch.setattr(InputDensity, "sample", recording_sample)
+    return chunks, samples
+
+
+def _sampled(chunks: list, samples: list) -> list:
+    """The chunks whose points are a sample drawn (not a grid block)."""
+    return [ch for ch in chunks if any(ch.x is x for x in samples)]
 
 
 def test_report_builds_each_chunk_once(setups, monkeypatch):
     monkeypatch.setattr(cli, "_REPORT_SWEEP_CAP", SWEEP_CAP)
-    chunks = _record_chunks(monkeypatch)
+    chunks, samples = _record_chunks(monkeypatch)
     setup = setups["ex1_fold_square"]
     cli.build_report(setup, N, SEED, NODES, setup.analysis.depths, 1)
     main, sweep = chunk_plan(N), chunk_plan(SWEEP_CAP)
     unmatched = [cm for cm in sweep if cm not in main]
     assert len(unmatched) == 1
-    assert len(chunks) == len(main) + len(unmatched)
-    assert sorted(ch.x.shape[0] for ch in chunks) == sorted(
+    walked = _sampled(chunks, samples)
+    assert len(walked) == len(main) + len(unmatched)
+    assert sorted(ch.x.shape[0] for ch in walked) == sorted(
         [mlen for _, mlen in main] + [mlen for _, mlen in unmatched])
+    # the other chunks are the quadrature's grid blocks (NODES**2 points)
+    assert [ch.x.shape[0] for ch in chunks if ch not in walked] == [NODES ** 2]
 
 
 @pytest.mark.parametrize("run, built", [
@@ -83,18 +112,28 @@ def test_report_builds_each_chunk_once(setups, monkeypatch):
      {"dispatch", "ok", "jac"}),
     (lambda m, d, cls: loss.loss_eq5_mc(m, d, 5000, SEED, classification=cls),
      STAGES),
+    # the grid chunks' fx stage is the pdf the integrand already computed
+    (lambda m, d, cls: loss.loss_eq5_quadrature(m, d, 300, classification=cls),
+     STAGES),
 ], ids=["bounds_report", "differential_entropy_mc", "expected_log_jacdet",
-        "loss_eq5_mc"])
+        "loss_eq5_mc", "loss_eq5_quadrature"])
 def test_selectors_build_only_the_stages_they_read(setups, monkeypatch, run,
                                                    built):
     setup = setups["ex6_m1"]
     m, d = setup.pmap, setup.density
     cls = classify(m, d, 10_000, SEED)
-    chunks = _record_chunks(monkeypatch)
+    chunks, samples = _record_chunks(monkeypatch)
     run(m, d, cls)
     assert chunks
     for ch in chunks:
         assert STAGES & set(vars(ch)) == built
+    grid = [ch for ch in chunks if ch not in _sampled(chunks, samples)]
+    if grid:  # the quadrature: grid chunks only, seeded fx, no sample drawn
+        assert grid == chunks and not samples
+        assert not any(ch.fx_evaluated for ch in chunks)
+    else:     # a Monte-Carlo selector: one sample drawn per chunk
+        assert len(samples) == len(chunks)
+        assert all(ch.fx_evaluated for ch in chunks) == ("fx" in built)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
