@@ -40,12 +40,13 @@ from .errors import (
     InfiniteLossError,
     InfoLossError,
 )
-from .model import validate
+from .model import DEFAULT_N_PROBE, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFINITE = 3
 EXIT_NUMERICAL = 4
+_CLASSIFY_CAP = 200_000  # samples classify and atom_scan read at most
 
 
 def _emit(obj) -> None:
@@ -88,7 +89,7 @@ def _parse_depths(text: str, dim: int) -> tuple[int, ...]:
 
 def cmd_validate(args) -> int:
     setup = _load(args)
-    n_probe = 10_000 if args.n is None else at_least_one("--n", args.n)
+    n_probe = DEFAULT_N_PROBE if args.n is None else at_least_one("--n", args.n)
     report = validate(setup.pmap, setup.density, n_probe=n_probe,
                       seed=args.seed if args.seed is not None else setup.analysis.seed)
     _emit(report.to_dict())
@@ -98,7 +99,7 @@ def cmd_validate(args) -> int:
 def cmd_classify(args) -> int:
     setup = _load(args)
     n, seed, _, _, _ = _analysis_overrides(setup, args)
-    n = min(n, 200_000)
+    n = min(n, _CLASSIFY_CAP)
     c = classify(setup.pmap, setup.density, n, seed)
     out = c.to_dict()
     out["atoms"] = [{"y": list(y), "mass": mass} for y, mass in
@@ -156,11 +157,12 @@ def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
     t0 = time.monotonic()
     m, d, a = setup.pmap, setup.density, setup.analysis
     warnings: list[str] = []
-    vrep = validate(m, d, n_probe=10_000, seed=seed)
+    vrep = validate(m, d, seed=seed)
     if not vrep.ok:
         warnings.extend(vrep.failures)
-    cls = classify(m, d, min(n, 200_000), seed)
-    atoms = atom_scan(m, d, min(n, 200_000), seed, classification=cls)
+    n_classify = min(n, _CLASSIFY_CAP)
+    cls = classify(m, d, n_classify, seed)
+    atoms = atom_scan(m, d, n_classify, seed, classification=cls)
     out = {
         "name": setup.name,
         "model_digest": setup.digest,

@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .exprlang import Expr
 from .geometry import Box, Region, box_volume
 from .loss import MAX_DEPTH_BITS
-from .model import Branch, BranchFamily, InputDensity, PiecewiseMap
+from .model import DENSITY_FORMS, Branch, BranchFamily, InputDensity, PiecewiseMap
 from .numerics import make_generator
 
 __all__ = [
@@ -164,8 +164,7 @@ def _density(obj, dim: int) -> InputDensity:
     if not isinstance(obj, dict):
         raise _fail("density", "expected an object")
     form = obj.get("form")
-    if form not in ("uniform_box", "uniform_region", "gaussian_iid",
-                    "exponential", "expression"):
+    if form not in DENSITY_FORMS:
         raise _fail("density.form", f"unknown form {form!r}")
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -224,8 +223,6 @@ def _part(obj, dim: int, idx: int):
         inverse = None
         if "inverse" in obj:
             inverse = _exprs(obj["inverse"], dim, f"{where}.inverse", yvars)
-        if kind == "bijective" and inverse is None:
-            raise _fail(where, "bijective branches need an inverse")
         jac = None
         if "jac_abs_det" in obj:
             jac = _parse_expr(obj["jac_abs_det"], f"{where}.jac_abs_det", xvars)

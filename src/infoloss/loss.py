@@ -43,8 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import Classification, classify
-from .errors import InfiniteLossError, SingularJacobianError, ZeroDensityError
-from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap
+from .errors import InfiniteLossError, ZeroDensityError
+from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap, check_jacobian
 from .numerics import (
     MCResult,
     TILE_COLUMNS,
@@ -74,7 +74,6 @@ __all__ = [
     "expected_log_jacdet",
 ]
 
-_CLASSIFY_N = 100_000
 # a sweep cell index has depth * dim bits and must fit an int64
 MAX_DEPTH_BITS = 62
 _SWEEP_TILE = TILE_COLUMNS  # table columns (sample rows) per sweep tile
@@ -119,7 +118,7 @@ class PartitionSweep:
 def _gate(m: PiecewiseMap, d: InputDensity, seed: int,
           classification: Optional[Classification]) -> Classification:
     if classification is None:
-        classification = classify(m, d, _CLASSIFY_N, derived_seed(seed, 101))
+        classification = classify(m, d, seed=derived_seed(seed, 101))
     if classification.verdict == "Infinite":
         # the estimators enumerate bijective branches only: for maps with
         # atoms or collapses they would report misleading finite numbers
@@ -156,16 +155,10 @@ class _Chunk:
 
     @cached_property
     def jac(self) -> np.ndarray:
-        """|det J| on bijective rows (1 elsewhere), checked positive."""
-        part_idx, k = self.dispatch
-        ok = self.ok
-        jac = np.ones(self.x.shape[0])
-        if np.any(ok):
-            jac[ok] = self.m.jac_batch(self.x[ok], part_idx[ok], k[ok])
-        bad = ok & ~(jac > 0.0)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise SingularJacobianError(self.x[i], float(jac[i]))
+        """|det J| per row, checked on the bijective rows; no reducer
+        reads the other rows."""
+        jac = self.m.jac_batch(self.x, *self.dispatch)
+        check_jacobian(self.x, jac, self.ok)
         return jac
 
     @cached_property
@@ -482,12 +475,12 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
         ok = ch.ok
         if not np.any(ok):
             return out
-        jac = ch.jac[ok]  # a singular Jacobian is reported before the table
+        jac = ch.jac  # a singular Jacobian is reported before the table
         t = ch.table
         truncated |= bool(t.truncated.any())
-        fxl = ch.fx[ok]
-        v = np.zeros(ok.shape[0])
-        v[ok] = fxl * np.log2(np.maximum(t.f_y[ok], 1e-300) * jac / fxl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = ch.fx * np.log2(np.maximum(t.f_y, 1e-300) * jac / ch.fx)
+        np.copyto(v, 0.0, where=~ok)
         out[live] = v
         return out
 

@@ -91,16 +91,13 @@ def _part_code(part, region: Region) -> PartCode:
                     region, None if index_of is None else compile_expr(index_of))
 
 
-def _bind_k(binding: dict, k) -> dict:
-    """``binding`` with the family member ``k`` bound as floats (a number
-    stays a number)."""
+def bind_columns(a: np.ndarray, k=None, prefix: str = "x") -> dict:
+    """The columns of ``a`` bound as ``prefix``1, ``prefix``2, ..., and the
+    family member ``k`` bound as floats (a number stays a number)."""
+    binding = {f"{prefix}{d + 1}": a[:, d] for d in range(a.shape[1])}
     if k is not None:
         binding["k"] = k if isinstance(k, float) else np.asarray(k, dtype=float)
     return binding
-
-
-def _x_binding(x: np.ndarray, k=None) -> dict:
-    return _bind_k({f"x{d + 1}": x[:, d] for d in range(x.shape[1])}, k)
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ class PiecewiseMap:
 
     def _member_k(self, fam: BranchFamily, x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            k = np.rint(np.asarray(fam.code.index_of.value(_x_binding(x)),
+            k = np.rint(np.asarray(fam.code.index_of.value(bind_columns(x)),
                                    dtype=float))
         k = np.where(np.isfinite(k), k, fam.k_lo - 1)
         return k.astype(np.int64)
@@ -216,7 +213,7 @@ class PiecewiseMap:
                 ok = k >= p.k_lo
                 if p.k_hi is not None:
                     ok &= k <= p.k_hi
-                out.append((ok & p.code.region.test(_x_binding(x, k)), k))
+                out.append((ok & p.code.region.test(bind_columns(x, k)), k))
         return out
 
     def dispatch_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +252,7 @@ class PiecewiseMap:
             if not np.any(rows):
                 continue
             xb = x[rows]
-            binding = _x_binding(
+            binding = bind_columns(
                 xb, k[rows] if isinstance(p, BranchFamily) else None)
             with np.errstate(all="ignore"):
                 for d, fe in enumerate(p.code.forward):
@@ -273,7 +270,7 @@ class PiecewiseMap:
             for s in (1.0, -1.0):
                 xs = x.copy()
                 xs[:, j] += s * hs
-                binding = _x_binding(xs, k)
+                binding = bind_columns(xs, k)
                 for i, fe in enumerate(p.code.forward):
                     with np.errstate(all="ignore"):
                         col = np.broadcast_to(fe.value(binding), (n,))
@@ -284,31 +281,28 @@ class PiecewiseMap:
         mat /= (2.0 * hs)[:, None, None]
         return mat
 
-    def part_jac(self, part_index: int, x: np.ndarray,
-                 k: np.ndarray | float | None = None) -> np.ndarray:
-        """|det J| of one part at every row of x; no singularity check.
-        ``k`` is the family member per row, or one member for every row."""
-        p = self.parts[part_index]
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if p.jac_abs_det is not None:
-            vals = self.part_jac_value(part_index, x, k)
-            return np.broadcast_to(vals, (x.shape[0],)).copy()
+    def _fd_jac(self, p: Part, x: np.ndarray,
+                k: np.ndarray | float | None) -> np.ndarray:
+        """|det J| per row from the central-difference Jacobian matrices."""
         mat = self._fd_matrices(p, x, k)
-        if self.dim == 1:
-            return np.abs(mat[:, 0, 0])
-        return np.abs(np.linalg.det(mat))
+        return np.abs(mat[:, 0, 0] if self.dim == 1 else np.linalg.det(mat))
 
-    def part_jac_value(self, part_index: int, x: np.ndarray,
-                       k: np.ndarray | float | None = None):
-        """|det J| from one part's expression at the rows of ``x``: a
-        number where the expression is constant over them (a folded
-        constant, or an expression in a single member ``k``), else one
-        value per row."""
+    def part_jac(self, part_index: int, x: np.ndarray,
+                 k: np.ndarray | float | None = None):
+        """|det J| of one part at the rows of ``x``, from the part's
+        expression, else by central differences; no singularity check.
+        ``k`` is the family member per row, or one member for every row.
+        Returns one number where |det J| is constant over the rows (a
+        folded constant, or an expression in a single member ``k``), else
+        one value per row."""
         code = self.parts[part_index].code
         if code.jac_const is not None:
             return code.jac_const
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if code.jac is None:
+            return self._fd_jac(self.parts[part_index], x, k)
         with np.errstate(all="ignore"):
-            return np.abs(np.asarray(code.jac.value(_x_binding(x, k)),
+            return np.abs(np.asarray(code.jac.value(bind_columns(x, k)),
                                      dtype=float))
 
     def jac_batch(self, x: np.ndarray, part_idx: np.ndarray,
@@ -318,7 +312,7 @@ class PiecewiseMap:
         out = np.full(x.shape[0], np.nan)
         for i, p in enumerate(self.parts):
             rows = part_idx == i
-            if not np.any(rows):
+            if not rows.any():
                 continue
             if p.code.jac_const is not None:
                 out[rows] = p.code.jac_const  # no rows to gather
@@ -336,22 +330,38 @@ def forward_eval(m: PiecewiseMap, x) -> np.ndarray:
 
 
 def jac_abs_det_at(m: PiecewiseMap, x) -> float:
-    """|det J| at x as ``part_jac`` computes it (the part's expression, else
-    central differences); NaN or a value below ``JAC_SINGULAR_TOL`` raises
+    """|det J| at x as ``jac_batch`` computes it (the part's expression,
+    else central differences); a singular value raises
     :class:`SingularJacobianError`."""
     xa = np.asarray(x, dtype=float).reshape(1, -1)
-    part_idx, k = m.dispatch_batch(xa)
-    i = int(part_idx[0])
-    kk = k if isinstance(m.parts[i], BranchFamily) else None
-    val = float(m.part_jac(i, xa, kk)[0])
-    if not val >= JAC_SINGULAR_TOL:
-        raise SingularJacobianError(xa[0], val)
-    return val
+    jac = m.jac_batch(xa, *m.dispatch_batch(xa))
+    check_jacobian(xa, jac)
+    return float(jac[0])
+
+
+def jac_singular(jac):
+    """The one rule for a singular Jacobian, per value: |det J| not above
+    ``JAC_SINGULAR_TOL``, NaN included."""
+    return ~(np.asarray(jac) > JAC_SINGULAR_TOL)
+
+
+def check_jacobian(x: np.ndarray, jac, rows=True) -> None:
+    """Raise :class:`SingularJacobianError` at the first row of ``x`` in
+    the mask ``rows`` whose |det J| is singular.  ``jac`` is one value
+    per row, or one number for every row."""
+    bad = jac_singular(jac)
+    if bad.any():  # else no row is singular: the mask is not read
+        bad = np.broadcast_to(bad & rows, x.shape[:1])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SingularJacobianError(
+                x[i], float(np.broadcast_to(jac, bad.shape)[i]))
 
 
 # --- input densities ------------------------------------------------------------
 
-_BUILTIN_FORMS = ("uniform_box", "uniform_region", "gaussian_iid", "exponential")
+DENSITY_FORMS = ("uniform_box", "uniform_region", "gaussian_iid", "exponential",
+                 "expression")
 
 
 @dataclass(frozen=True)
@@ -373,7 +383,7 @@ class InputDensity:
     pdf_code: Optional[Compiled] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.form not in _BUILTIN_FORMS + ("expression",):
+        if self.form not in DENSITY_FORMS:
             raise ValueError(f"bad density form {self.form!r}")
         if self.form == "expression":
             if self.pdf_expr is None or self.pdf_bound is None:
@@ -405,7 +415,7 @@ class InputDensity:
                 vals = row_prod(lam * np.exp(-lam * x))
             else:
                 vals = np.broadcast_to(
-                    np.asarray(self.pdf_code.value(_x_binding(x)), dtype=float),
+                    np.asarray(self.pdf_code.value(bind_columns(x)), dtype=float),
                     (x.shape[0],)).copy()
             # vals is this call's own array: zero it in place outside the
             # support and where it is not finite
@@ -459,6 +469,7 @@ class InputDensity:
 
 # --- validation ------------------------------------------------------------------
 
+DEFAULT_N_PROBE = 10_000
 INV_REL_TOL = 1e-9
 JAC_EXPR_FD_REL_TOL = 1e-4
 CONST_VARIANCE_TOL = 1e-18
@@ -509,7 +520,7 @@ def _family_checks(m: PiecewiseMap, fam_index: int, fam: BranchFamily,
                    failures: list[str]) -> None:
     # index_of must name a member that actually contains the point
     region = fam.code.region
-    inside = region.test(_x_binding(x, k))
+    inside = region.test(bind_columns(x, k))
     bad = int(np.count_nonzero(~inside))
     report["index_consistency_failures"] = bad
     if bad:
@@ -521,14 +532,14 @@ def _family_checks(m: PiecewiseMap, fam_index: int, fam: BranchFamily,
         ok_range = kn >= fam.k_lo
         if fam.k_hi is not None:
             ok_range &= kn <= fam.k_hi
-        overlap = region.test(_x_binding(x, kn)) & ok_range
+        overlap = region.test(bind_columns(x, kn)) & ok_range
         cnt = int(np.count_nonzero(overlap))
         if cnt:
             failures.append(f"{fam.name}: members k and k{dk:+d} overlap "
                             f"at {cnt} sampled points")
 
 
-def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
+def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = DEFAULT_N_PROBE,
              seed: int = 0) -> ValidationReport:
     """Probe the model: coverage, disjointness, inverse consistency,
     Jacobian positivity, declared-kind cross-checks, masses, and pdf
@@ -574,8 +585,8 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
         part_idx = np.full(n_in, i, dtype=np.int64)
         if p.kind == "bijective":
             y = m.forward_batch(xb, part_idx, kb)
-            binding = _bind_k({f"y{dd + 1}": y[:, dd] for dd in range(m.dim)},
-                              kb if isinstance(p, BranchFamily) else None)
+            binding = bind_columns(
+                y, kb if isinstance(p, BranchFamily) else None, "y")
             with np.errstate(all="ignore"):
                 x_back = np.column_stack([
                     np.broadcast_to(inv.value(binding), (n_in,))
@@ -588,15 +599,13 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = 10_000,
                     f"{p.name}: inverse(forward(x)) misses x by "
                     f"{rep['inverse_max_rel_err']:.3g} (tol {INV_REL_TOL:g})")
             jac = m.jac_batch(xb, part_idx, kb)
-            viol = int(np.count_nonzero(~(jac > JAC_SINGULAR_TOL)))
+            viol = int(np.count_nonzero(jac_singular(jac)))
             rep["jac_nonpositive"] = viol
             if viol > max(1, 0.001 * n_in):
                 failures.append(f"{p.name}: |det J| not positive at "
                                 f"{viol}/{n_in} sampled points")
             if p.jac_abs_det is not None:
-                kk = kb if isinstance(p, BranchFamily) else None
-                mats = m._fd_matrices(p, xb, kk)
-                fd = np.abs(np.linalg.det(mats) if m.dim > 1 else mats[:, 0, 0])
+                fd = m._fd_jac(p, xb, kb if isinstance(p, BranchFamily) else None)
                 rel_jac = np.abs(fd - jac) / np.maximum(np.abs(jac), 1e-300)
                 # finite differences are garbage within h of a forward-map
                 # discontinuity (for example an angle branch cut), a null

@@ -44,19 +44,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SingularJacobianError, ZeroDensityError
+from .errors import ZeroDensityError
 # eval_array stays bound here: the benchmark's layer tracer
 # (perfbench/tracer.py) rebinds it in every importing module and its
 # tests expect it in this one
 from .exprlang import eval_array  # noqa: F401
 from .model import (
     DEFAULT_K_MAX,
-    JAC_SINGULAR_TOL,
     Branch,
     BranchFamily,
     InputDensity,
     PartRef,
     PiecewiseMap,
+    bind_columns,
+    check_jacobian,
 )
 from .numerics import column_tiles, row_all, row_max
 
@@ -125,25 +126,16 @@ class CandidateTable:
         return np.count_nonzero(self.valid, axis=0)
 
 
-def _check_jacobian(xc: np.ndarray, jac: np.ndarray,
-                    bad: Optional[np.ndarray]):
-    """Raise for the first row of one slot with a singular Jacobian
-    (``bad`` None: no row is)."""
-    if bad is not None and np.any(bad):
-        i = int(np.argmax(bad))
-        raise SingularJacobianError(xc[i], float(jac[i]))
-
-
 def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
                    y: np.ndarray, ks: Optional[np.ndarray], y_tol: np.ndarray,
-                   out: tuple[np.ndarray, ...]) -> Optional[np.ndarray]:
+                   out: tuple[np.ndarray, ...]):
     """Evaluate one part at the query rows ``y`` and write the candidate,
     validity, density and Jacobian into ``out`` = (x, valid, weight, jac),
     table rows of shape (n, N), (n,), (n,), (n,): one slot for a branch
     (``ks`` None), one per member of the family block ``ks``, member-major
-    with ``k`` bound per row.  Returns the singular-Jacobian mask, or
-    None where no row can be singular; the caller raises for the
-    singular rows of the slots it keeps."""
+    with ``k`` bound per row.  Returns |det J| as ``part_jac`` gives it,
+    one number or one value per row; the caller checks it on the valid
+    rows of the slots it keeps."""
     p = m.parts[part_index]
     code = p.code
     xc, valid, weight, jac = out
@@ -154,9 +146,7 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
         # one member binds k as a number: the same values, without an
         # array pass per operation on k
         k = np.repeat(ks.astype(float), rows) if ks.size > 1 else float(ks[0])
-    binding = {f"y{dd + 1}": yb[:, dd] for dd in range(m.dim)}
-    if k is not None:
-        binding["k"] = k
+    binding = bind_columns(yb, k, "y")
     # a singular row's weight may divide by zero: it is never kept
     with np.errstate(all="ignore"):
         for dd, inv in enumerate(code.inverse):
@@ -164,9 +154,7 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
         finite = row_all(np.isfinite(xc))
         np.copyto(xc, 0.0, where=~finite[:, None])
 
-        xbind = {f"x{dd + 1}": xc[:, dd] for dd in range(m.dim)}
-        if k is not None:
-            xbind["k"] = k
+        xbind = bind_columns(xc, k)
         in_region = code.region.test(xbind)
         fx = d.pdf_batch(xc)
 
@@ -186,20 +174,13 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
         valid &= dev <= (y_tol if n == rows else np.tile(y_tol, n // rows))
         valid &= back_finite
         invalid = ~valid
-        c = None if code.jac is None else m.part_jac_value(part_index, xc, k)
-        if c is not None and c.ndim == 0:
-            # |det J| is one number c on every row: no per-row Jacobian
-            np.divide(fx, c, out=weight)
-            jac.fill(c)
-            np.copyto(jac, 1.0, where=invalid)
-            bad = None if c > JAC_SINGULAR_TOL else valid.copy()
-        else:
-            jac[:] = m.part_jac(part_index, xc, k) if c is None else c
-            bad = valid & ~(jac > JAC_SINGULAR_TOL)
-            np.copyto(jac, 1.0, where=invalid)
-            np.divide(fx, jac, out=weight)
+        c = m.part_jac(part_index, xc, k)
+        jac[:] = c
+        np.copyto(jac, 1.0, where=invalid)
+        # where |det J| is one number c on every row, divide by it
+        np.divide(fx, c if np.ndim(c) == 0 else jac, out=weight)
         np.copyto(weight, 0.0, where=invalid)
-    return bad
+    return c
 
 
 def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
@@ -227,17 +208,14 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
             count = min(count, p.k_hi - k + 1)
         if count <= 0:
             return kept, True  # k_max reached: member k was not examined
-        s0 = pos + kept
-        blk = slice(s0, s0 + count)
-        bad = _slot_for_part(
-            m, d, part_index, y, np.arange(k, k + count), y_tol,
-            (x[blk].reshape(-1, m.dim), valid[blk].reshape(-1),
-             weight[blk].reshape(-1), jac[blk].reshape(-1)))
+        blk = slice(pos + kept, pos + kept + count)
+        xb, vb = x[blk].reshape(-1, m.dim), valid[blk].reshape(-1)
+        c = _slot_for_part(m, d, part_index, y, np.arange(k, k + count),
+                           y_tol, (xb, vb, weight[blk].reshape(-1),
+                                   jac[blk].reshape(-1)))
+        walked = count
         for j in range(count):
-            s = s0 + j
-            _check_jacobian(x[s], jac[s], None if bad is None
-                            else bad[j * rows:(j + 1) * rows])
-            kept += 1
+            s = blk.start + j
             running += weight[s]
             if np.any(valid[s]):
                 any_valid_seen = True
@@ -246,7 +224,15 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
                     weight[s] <= _TAIL_REL * np.maximum(running, 1e-300))
                 small_streak = small_streak + 1 if tiny else 0
                 if small_streak >= 2:
-                    return kept, p.k_hi is None or k + j < p.k_hi
+                    walked = j + 1
+                    break
+        # the members walked are kept; the first singular row among them
+        # is the one a member-by-member check would meet first
+        n = walked * rows
+        check_jacobian(xb[:n], c if np.ndim(c) == 0 else c[:n], vb[:n])
+        kept += walked
+        if small_streak >= 2:
+            return kept, p.k_hi is None or k + walked - 1 < p.k_hi
         k += count
     return kept, False
 
@@ -292,9 +278,9 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
             continue
         S = len(slot_part)
         if isinstance(p, Branch):
-            bad = _slot_for_part(m, d, i, y, None, y_tol,
-                                 (x[S], valid[S], weight[S], jac[S]))
-            _check_jacobian(x[S], jac[S], bad)
+            c = _slot_for_part(m, d, i, y, None, y_tol,
+                               (x[S], valid[S], weight[S], jac[S]))
+            check_jacobian(x[S], c, valid[S])
             slot_part.append(i)
             slot_k.append(0)
             continue

@@ -15,13 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import FINITE_PRESETS, PRESET_NAMES
 from infoloss import loss, transform
 from infoloss.config import load_config, preset_path
 from infoloss.errors import SingularJacobianError
 from infoloss.exprlang import eval_array
 from infoloss.loss import _grouped_entropy_bits
-from infoloss.model import JAC_SINGULAR_TOL, Branch, postcompose_affine
-from infoloss.numerics import TILE_COLUMNS, row_all, row_max, row_prod
+from infoloss.model import Branch, check_jacobian, postcompose_affine
+from infoloss.numerics import (
+    TILE_COLUMNS,
+    chunk_plan,
+    derived_seed,
+    row_all,
+    row_max,
+    row_prod,
+)
 
 
 def reference_grouped_entropy_bits(cells, w, f_y):
@@ -348,13 +356,10 @@ def _reference_slot(m, d, part_index, y, ks, tol):
             1.0 + row_max(np.abs(yb)))
         maps_back &= row_all(np.isfinite(y_back))
         valid = finite & in_region & (fx > 0.0) & maps_back
-        jac = m.part_jac(part_index, xc, karr)
-        bad = valid & ~(jac > JAC_SINGULAR_TOL)
-        jac = np.where(valid, jac, 1.0)
+        jac = np.where(valid, m.part_jac(part_index, xc, karr), 1.0)
         weight = np.where(valid, fx / jac, 0.0)
     return (xc.reshape(slots, rows, m.dim), valid.reshape(slots, rows),
-            weight.reshape(slots, rows), jac.reshape(slots, rows),
-            bad.reshape(slots, rows))
+            weight.reshape(slots, rows), jac.reshape(slots, rows))
 
 
 def _reference_family(m, d, part_index, y, tol, k_max, member_block):
@@ -372,10 +377,10 @@ def _reference_family(m, d, part_index, y, tol, k_max, member_block):
             count = min(count, p.k_hi - k + 1)
         if count <= 0:
             return slots, True
-        xc, valid, weight, jac, bad = _reference_slot(
+        xc, valid, weight, jac = _reference_slot(
             m, d, part_index, y, np.arange(k, k + count), tol)
         for j in range(count):
-            transform._check_jacobian(xc[j], jac[j], bad[j])
+            check_jacobian(xc[j], jac[j], valid[j])
             slots.append((xc[j], valid[j], weight[j], jac[j], part_index,
                           k + j))
             running += weight[j]
@@ -403,8 +408,8 @@ def reference_build_candidates(m, d, y, tol, k_max, member_block):
         if p.kind != "bijective":
             continue
         if isinstance(p, Branch):
-            xc, valid, weight, jac, bad = _reference_slot(m, d, i, y, None, tol)
-            transform._check_jacobian(xc[0], jac[0], bad[0])
+            xc, valid, weight, jac = _reference_slot(m, d, i, y, None, tol)
+            check_jacobian(xc[0], jac[0], valid[0])
             slots.append((xc[0], valid[0], weight[0], jac[0], i, 0))
             continue
         members, cut = _reference_family(m, d, i, y, tol, k_max, member_block)
@@ -533,6 +538,33 @@ def test_constant_jacobian_table_matches_the_stacked_builder(rows, member_block)
     assert np.all(got.jac[got.valid] == 2.0)
     assert np.all(got.jac[~got.valid] == 1.0)
     assert np.any(~got.valid) or rows == 1
+
+
+# --- the chunk Jacobian ------------------------------------------------------------------
+
+def reference_chunk_jac(ch):
+    """The chunk's |det J| as first written: ones, ``jac_batch`` on the
+    gathered bijective rows, scattered back."""
+    part_idx, k = ch.dispatch
+    jac = np.ones(ch.x.shape[0])
+    if np.any(ch.ok):
+        jac[ch.ok] = ch.m.jac_batch(ch.x[ch.ok], part_idx[ch.ok], k[ch.ok])
+    return jac
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_chunk_jac_matches_the_gathered_reference(setups, name):
+    # the first chunk of the preset's own sample stream; every Finite
+    # preset, and the Infinite ones, whose chunks hold non-bijective rows
+    setup = setups[name]
+    a = setup.analysis
+    c, mlen = chunk_plan(a.n)[0]
+    ch = loss._Chunk(setup.pmap, setup.density,
+                     setup.density.sample(mlen, derived_seed(a.seed, c)),
+                     a.tol, a.k_max)
+    ok = ch.ok
+    assert ch.jac[ok].tobytes() == reference_chunk_jac(ch)[ok].tobytes()
+    assert ok.all() == (name in FINITE_PRESETS)
 
 
 # --- tiled posterior entropy ----------------------------------------------------------

@@ -12,7 +12,9 @@ from infoloss.errors import (
     NoBranchError,
     SingularJacobianError,
 )
+from infoloss.loss import expected_log_jacdet, loss_eq5_mc, loss_eq5_quadrature
 from infoloss.model import (
+    JAC_SINGULAR_TOL,
     Branch,
     InputDensity,
     PiecewiseMap,
@@ -22,6 +24,7 @@ from infoloss.model import (
     validate,
 )
 from infoloss.numerics import make_generator, uniform_box_sample
+from infoloss.transform import build_candidates
 
 
 def square_map():
@@ -146,6 +149,61 @@ def test_jac_nan_expression_is_singular():
     assert jac_abs_det_at(m, (0.25,)) == 0.5
     with pytest.raises(SingularJacobianError):
         jac_abs_det_at(m, (-0.5,))
+
+
+# --- one singularity rule on every route -------------------------------------------
+
+def scaled_identity(jac: float):
+    """y = jac * x on the unit interval, declaring the constant |det J|."""
+    cfg = {
+        "dim": 1,
+        "density": {
+            "form": "uniform_box",
+            "support": {"predicate": "x1 >= 0 and x1 <= 1", "bbox": [[0.0, 1.0]]},
+        },
+        "parts": [
+            {"type": "branch", "name": "only", "kind": "bijective",
+             "region": {"predicate": "x1 >= 0 and x1 <= 1", "bbox": [[0.0, 1.0]]},
+             "forward": [f"{jac!r} * x1"], "inverse": [f"y1 / {jac!r}"],
+             "jac_abs_det": repr(jac)},
+        ],
+    }
+    return load_config(cfg)
+
+
+_SINGULAR_ROUTES = {
+    "jac_abs_det_at": lambda m, d: jac_abs_det_at(m, (0.5,)),
+    "expected_log_jacdet": lambda m, d: expected_log_jacdet(m, d, 1000, 0),
+    "loss_eq5_mc": lambda m, d: loss_eq5_mc(m, d, 1000, 0),
+    "loss_eq5_quadrature": lambda m, d: loss_eq5_quadrature(m, d, 16),
+    "build_candidates": lambda m, d: build_candidates(
+        m, d, np.array([[0.5 * JAC_SINGULAR_TOL]])),
+}
+
+
+@pytest.mark.parametrize("route", list(_SINGULAR_ROUTES))
+def test_jacobian_at_the_tolerance_is_singular_on_every_route(route):
+    setup = scaled_identity(JAC_SINGULAR_TOL)
+    assert setup.pmap.parts[0].code.jac_const == JAC_SINGULAR_TOL
+    with pytest.raises(SingularJacobianError) as err:
+        _SINGULAR_ROUTES[route](setup.pmap, setup.density)
+    assert err.value.value == JAC_SINGULAR_TOL
+
+
+def test_validate_counts_a_jacobian_at_the_tolerance_as_singular():
+    setup = scaled_identity(JAC_SINGULAR_TOL)
+    rep = validate(setup.pmap, setup.density, n_probe=500)
+    assert rep.part_reports[0]["jac_nonpositive"] == 500
+    assert any("not positive" in f for f in rep.failures)
+
+
+def test_jacobian_just_above_the_tolerance_is_regular():
+    above = float(np.nextafter(JAC_SINGULAR_TOL, 1.0))
+    setup = scaled_identity(above)
+    m, d = setup.pmap, setup.density
+    assert jac_abs_det_at(m, (0.5,)) == above
+    assert build_candidates(m, d, np.array([[0.5 * above]])).valid.all()
+    assert validate(m, d, n_probe=500).part_reports[0]["jac_nonpositive"] == 0
 
 
 # --- validate -------------------------------------------------------------------
