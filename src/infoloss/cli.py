@@ -78,7 +78,10 @@ def _parse_depths(text: str, dim: int) -> tuple[int, ...]:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            depths = tuple(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise ConfigError(f"--depths A:B wants A <= B, got {text!r}")
+            depths = tuple(range(lo, hi + 1))
         else:
             depths = tuple(int(v) for v in text.split(","))
     except ValueError:

@@ -271,8 +271,8 @@ def _analysis(obj, dim: int) -> AnalysisParams:
     if not isinstance(depths, list):
         raise _fail("analysis.depths", "expected a list of integers")
     tol = _real(obj.get("tol", AnalysisParams.tol), "analysis.tol")
-    if tol < 0:
-        raise _fail("analysis.tol", f"must be nonnegative, got {tol!r}")
+    if not tol > 0:  # finite already; 0 drops every inexact round trip
+        raise _fail("analysis.tol", f"must be positive, got {tol!r}")
     return AnalysisParams(
         n=at_least_one("analysis.n", integer("n")),
         seed=integer("seed"),

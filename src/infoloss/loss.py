@@ -54,6 +54,7 @@ from .numerics import (
     derived_seed,
     merge_moments,
     run_chunks,
+    take_rows,
     tensor_quadrature,
 )
 from .transform import DEFAULT_TOL, build_candidates, posterior_entropy_bits
@@ -467,10 +468,10 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
         nonlocal truncated
         out = np.zeros(pts.shape[0])
         fx = d.pdf_batch(pts)
-        live = fx > 0.0
-        if not np.any(live):
+        live = np.flatnonzero(fx > 0.0)
+        if not live.size:
             return out
-        ch = _Chunk(m, d, pts[live], tol, k_max)
+        ch = _Chunk(m, d, take_rows(pts, live), tol, k_max)
         ch.fx = fx[live]  # the fx stage, already computed
         ok = ch.ok
         if not np.any(ok):

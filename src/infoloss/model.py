@@ -42,6 +42,7 @@ from .numerics import (
     rejection_sample,
     row_max,
     row_prod,
+    take_rows,
     tensor_quadrature,
     uniform_box_sample,
 )
@@ -221,18 +222,16 @@ class PiecewiseMap:
 
         Returns (part_idx, k), k the family member (0 for a branch).  A row
         in no part raises :class:`NoBranchError`, a row in more than one
-        :class:`AmbiguousBranchError`.
+        :class:`AmbiguousBranchError`, each at the first such row.  Once
+        every row is in exactly one part, ``part_idx`` is the sum of
+        i * mask_i over the parts and ``k`` the sum of k_i * mask_i over
+        the families, in exact int64 arithmetic, with no scatter.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         masks = self.membership_masks(x)
         count = np.zeros(x.shape[0], dtype=np.int64)
-        part_idx = np.full(x.shape[0], -1, dtype=np.int64)
-        k = np.zeros(x.shape[0], dtype=np.int64)
-        for i, (mask, kk) in enumerate(masks):
+        for mask, _ in masks:
             count += mask
-            fresh = mask & (part_idx < 0)
-            part_idx[fresh] = i
-            k[fresh] = kk[fresh]
         if np.any(count == 0):
             j = int(np.argmax(count == 0))
             raise NoBranchError(x[j])
@@ -241,23 +240,36 @@ class PiecewiseMap:
             claimed = [self.parts[i].name for i, (mask, _) in enumerate(masks)
                        if bool(mask[j])]
             raise AmbiguousBranchError(x[j], claimed)
+        part_idx = np.zeros(x.shape[0], dtype=np.int64)
+        k = np.zeros(x.shape[0], dtype=np.int64)
+        for i, (p, (mask, kk)) in enumerate(zip(self.parts, masks)):
+            if i:
+                part_idx += i * mask
+            if isinstance(p, BranchFamily):
+                k += kk * mask
         return part_idx, k
 
     def forward_batch(self, x: np.ndarray, part_idx: np.ndarray,
                       k: np.ndarray) -> np.ndarray:
+        """g(x) per row, by the part ``part_idx`` names (NaN where it
+        names none).  Each part that owns rows is evaluated on every row
+        and written where it owns them, with no gather of ``x`` and no
+        scatter into ``y``; ``y`` has the layout of ``x``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.full_like(x, np.nan)
         for i, p in enumerate(self.parts):
             rows = part_idx == i
-            if not np.any(rows):
+            if not rows.any():
                 continue
-            xb = x[rows]
+            every = rows.all()
             binding = bind_columns(
-                xb, k[rows] if isinstance(p, BranchFamily) else None)
+                x, k if isinstance(p, BranchFamily) else None)
             with np.errstate(all="ignore"):
                 for d, fe in enumerate(p.code.forward):
-                    y[rows, d] = np.broadcast_to(fe.value(binding),
-                                                 (xb.shape[0],))
+                    if every:
+                        y[:, d] = fe.value(binding)
+                    else:
+                        np.copyto(y[:, d], fe.value(binding), where=rows)
         return y
 
     def _fd_matrices(self, p: Part, x: np.ndarray,
@@ -570,8 +582,9 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = DEFAULT_N_PROBE,
         mass_stderr = math.sqrt(max(mass * (1 - mass), 0.0) / n_probe)
         rep: dict = {"name": p.name, "kind": p.kind, "n_in_region": n_in,
                      "mass": mass, "mass_stderr": mass_stderr}
-        xb = x[mask]
-        kb = k_all[mask]
+        rows = np.flatnonzero(mask)
+        xb = take_rows(x, rows)
+        kb = k_all[rows]
         if isinstance(p, Branch):
             inside_box = p.region.bbox.contains_points(xb)
             bad_box = int(np.count_nonzero(~inside_box))

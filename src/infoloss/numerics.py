@@ -9,6 +9,14 @@ uses the derived key ``(s + c) mod 2**64``.  Each chunk is reduced to
 its (sum, M2, count) moments, and ``merge_moments`` merges them with
 exact summation (``math.fsum``), so results are bit identical no matter
 how many workers execute the chunks.
+
+Every (m, N) array of points that the samplers return, and every grid
+block of the quadrature, is column-contiguous (Fortran order): each
+coordinate ``x[:, d]`` that a region test, support test or expression
+reads is one contiguous run, not a stride-N view.  Only the layout
+differs from a row-major array; the fill order of the draws and every
+value are the same.  ``take_rows`` keeps the layout where rows are
+selected.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
     "row_max",
     "row_all",
     "row_prod",
+    "take_rows",
     "TILE_COLUMNS",
     "column_tiles",
     "tensor_quadrature",
@@ -135,6 +144,20 @@ def row_prod(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def take_rows(a: np.ndarray, idx: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``idx`` of the (m, N) array ``a`` as a column-contiguous
+    array, taken one column at a time (into ``out`` when it is given).
+    A boolean gather ``a[mask]`` returns a row-major array and tests the
+    mask row by row for every column; callers take
+    ``np.flatnonzero(mask)`` once instead."""
+    if out is None:
+        out = np.empty((idx.size, a.shape[1]), order="F")
+    for d in range(a.shape[1]):
+        np.take(a[:, d], idx, out=out[:, d])
+    return out
+
+
 def column_tiles(width: int, tile: int = TILE_COLUMNS) -> list[slice]:
     """Slices of ``tile`` columns covering a table ``width`` columns wide.
 
@@ -211,11 +234,13 @@ def run_chunks(fn: Callable[[int, int], object],
 # --- density samplers ---------------------------------------------------------
 #
 # Builtin forms sample by per-coordinate inverse CDF; region-uniform and
-# expression densities by rejection from the support box.
+# expression densities by rejection from the support box.  Each sampler
+# draws its (n, N) uniforms row-major, as Philox fills them, and returns
+# a column-contiguous array of the same values.
 
 def uniform_box_sample(lo: np.ndarray, hi: np.ndarray, n: int,
                        rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((n, lo.size))
+    u = np.asfortranarray(rng.random((n, lo.size)))
     u *= hi - lo
     u += lo  # lo + u * (hi - lo), without two temporaries
     return u
@@ -227,7 +252,7 @@ def gaussian_iid_sample(mu: float, sigma: float, dim: int, n: int,
     # only Gaussian inputs need it
     from scipy.special import ndtri
 
-    u = rng.random((n, dim))
+    u = np.asfortranarray(rng.random((n, dim)))
     # keep ndtri finite at the (never observed in practice) endpoints
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
     return mu + sigma * ndtri(u)
@@ -235,7 +260,7 @@ def gaussian_iid_sample(mu: float, sigma: float, dim: int, n: int,
 
 def exponential_sample(lam: float, dim: int, n: int,
                        rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((n, dim))
+    u = np.asfortranarray(rng.random((n, dim)))
     return -np.log1p(-u) / lam
 
 
@@ -248,9 +273,10 @@ def rejection_sample(accept: Callable[[np.ndarray, np.random.Generator],
     Proposals come in batches of ``max(n, 4096)`` rows from
     ``uniform_box_sample``; ``accept(x, rng)`` returns the mask of the
     rows kept, and may draw from ``rng`` after the batch.  Returns the
-    first n rows kept plus the observed acceptance rate.
+    first n rows kept, column-contiguous, plus the observed acceptance
+    rate.
     """
-    out = np.empty((n, lo.size))
+    out = np.empty((n, lo.size), order="F")
     got = 0
     proposed = 0
     accepted = 0
@@ -259,10 +285,10 @@ def rejection_sample(accept: Callable[[np.ndarray, np.random.Generator],
         x = uniform_box_sample(lo, hi, batch, rng)
         ok = accept(x, rng)
         proposed += batch
-        hits = int(np.count_nonzero(ok))
-        accepted += hits
-        take = min(n - got, hits)
-        out[got:got + take] = x[ok][:take]
+        idx = np.flatnonzero(ok)
+        accepted += idx.size
+        take = min(n - got, idx.size)
+        take_rows(x, idx[:take], out[got:got + take])
         got += take
     return out, accepted / proposed
 
@@ -273,9 +299,11 @@ def tensor_quadrature(box, f: Callable[[np.ndarray], np.ndarray],
                       nodes_per_dim: int) -> float:
     """Midpoint rule on a tensor grid over ``box`` (N <= 2).
 
-    ``f`` maps an (m, N) array of points to m values.  The midpoint rule
-    needs no endpoint evaluations, which keeps integrable edge
-    singularities (such as 1/sqrt(y) output densities) finite.
+    ``f`` maps a column-contiguous (m, N) array of points to m values
+    (a 2-D block holds whole grid rows, the second axis varying
+    fastest).  The midpoint rule needs no endpoint evaluations, which
+    keeps integrable edge singularities (such as 1/sqrt(y) output
+    densities) finite.
     """
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
@@ -300,8 +328,9 @@ def tensor_quadrature(box, f: Callable[[np.ndarray], np.ndarray],
         rows_per_block = max(1, row_chunk // nodes_per_dim)
         for r0 in range(0, nodes_per_dim, rows_per_block):
             a = axes[0][r0:r0 + rows_per_block]
-            g0, g1 = np.meshgrid(a, axes[1], indexing="ij")
-            pts = np.column_stack([g0.ravel(), g1.ravel()])
+            pts = np.empty((a.size * nodes_per_dim, 2), order="F")
+            pts[:, 0] = np.repeat(a, nodes_per_dim)
+            pts[:, 1] = np.tile(axes[1], a.size)
             vals = np.asarray(f(pts), dtype=float)
             partials.append(float(np.sum(vals)))
     return math.fsum(partials) * cell

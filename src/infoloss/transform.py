@@ -30,7 +30,10 @@ The table is written once: its arrays are allocated at their capacity
 smaller, per family), each part writes its slots, or a family its
 member blocks, straight into the next free rows, and the table's fields
 are views of the rows written.  After the build only the duplicate
-merge writes to them.
+merge writes to them.  The candidate points are stored coordinate-major,
+an (N, S, m) buffer read through its (S, m, N) transpose, so each
+coordinate of a slot, or of a family's member block (whose member-major
+reshape stays a view), is one contiguous column.
 
 Everything here is built on one vectorized candidate table so the Monte
 Carlo and quadrature engines share the exact code path of the scalar
@@ -39,6 +42,7 @@ operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,7 +116,7 @@ class CandidateTable:
     slots, only its duplicate merge writes to them.
     """
 
-    x: np.ndarray          # (S, m, N)
+    x: np.ndarray          # (S, m, N), a view of an (N, S, m) buffer
     valid: np.ndarray      # (S, m) bool
     weight: np.ndarray     # (S, m)
     jac: np.ndarray        # (S, m)
@@ -259,13 +263,18 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
 
     Non-bijective parts contribute no countable preimage elements and
     are skipped; they are only legal in loss integrals when they carry
-    zero probability mass (the classifier enforces that).
+    zero probability mass (the classifier enforces that).  The map-back
+    tolerance ``tol`` must be finite and positive: at 0 every candidate
+    whose round trip is not bit-exact would be dropped.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"need a finite tol > 0, got {tol!r}")
     y = np.atleast_2d(np.asarray(y, dtype=float))
     rows = y.shape[0]
     y_tol = tol * (1.0 + row_max(np.abs(y)))  # map-back tolerance per row
     cap = _slot_capacity(m, k_max)
-    x = np.empty((cap, rows, m.dim))
+    # coordinate-major: (S, m, N) indexing over an (N, S, m) buffer
+    x = np.empty((m.dim, cap, rows)).transpose(1, 2, 0)
     valid = np.empty((cap, rows), dtype=bool)
     weight = np.empty((cap, rows))
     jac = np.empty((cap, rows))
@@ -321,8 +330,6 @@ def preimage(m: PiecewiseMap, d: InputDensity, y, tol: float = DEFAULT_TOL,
              k_max: int = DEFAULT_K_MAX) -> PreimageSet:
     """All preimage candidates of y that survive the region, support and
     map-back checks.  An empty set is valid: y lies outside the image."""
-    if tol <= 0:
-        raise ValueError("need tol > 0")
     ya = np.asarray(y, dtype=float).reshape(1, -1)
     t = build_candidates(m, d, ya, tol, k_max)
     elems = []

@@ -84,6 +84,7 @@ def test_triangle_builder_matches_shipped_preset():
     (lambda d: d["analysis"].update(depths=[0, 63]), "depth * dim <= 62"),
     (lambda d: d["parts"][0]["forward"].__setitem__(0, "(" * 3000 + "x1" + ")" * 3000),
      "nests too deeply"),
+    (lambda d: d["analysis"].update(tol=0), "analysis.tol: must be positive"),
 ])
 def test_schema_rejections(mutate, fragment):
     doc = json.loads(preset_path("identity").read_text())
@@ -198,21 +199,32 @@ def test_cli_bad_expression_exit_2(tmp_path):
     ["sweep", "ex1_fold_square", "--depths", "2,-3"],
     ["sweep", "ex3_exp_sawtooth", "--depths", "8,63"],
     ["sweep", "ex1_fold_square", "--depths", "30:32"],
+    ["sweep", "ex6_m1", "--n", "2000", "--depths", "3:1"],
 ], ids=["n_negative", "n_zero", "validate_n_zero", "workers_negative",
         "workers_zero", "nodes_zero", "depths_unparsable_range",
         "depths_unparsable_list", "depths_negative_range",
-        "depths_negative_list", "depth_63_at_dim_1", "depth_32_at_dim_2"])
+        "depths_negative_list", "depth_63_at_dim_1", "depth_32_at_dim_2",
+        "depths_reversed_range"])
 def test_cli_bad_numeric_argument_exit_2(argv, capsys):
     # rejected as a config error before any sampling starts
     assert cli_main(argv) == 2
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_reversed_depth_range_names_the_option(capsys):
+    # an empty range used to print only the CSV header and exit 0
+    assert cli_main(["sweep", "ex6_m1", "--n", "2000", "--depths", "3:1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--depths" in out.err and "'3:1'" in out.err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d["parts"][0].update(forward=["-" * 3000 + "x1"]),
     lambda d: d["analysis"].update(tol=-1),
     lambda d: d["analysis"].update(n=-5),
-], ids=["deep_forward", "tol_negative", "n_negative"])
+    lambda d: d["analysis"].update(tol=0),
+], ids=["deep_forward", "tol_negative", "n_negative", "tol_zero"])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, mutate):
     doc = json.loads(preset_path("identity").read_text())
     mutate(doc)

@@ -9,6 +9,7 @@ import pytest
 
 from infoloss.config import load_config
 from infoloss.errors import ZeroDensityError
+from infoloss.loss import loss_eq5_mc
 from infoloss.model import forward_eval
 from infoloss.numerics import tensor_quadrature
 from infoloss.geometry import Box
@@ -198,3 +199,20 @@ def test_preimage_contains_original_point(setups):
                          np.inf)
         best = dists.min(axis=0)
         assert np.all(best < 1e-8 * (1 + np.max(np.abs(x), axis=1))), name
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda m, d, tol: build_candidates(m, d, np.array([[0.5], [2.0]]), tol),
+    lambda m, d, tol: preimage(m, d, [0.5], tol),
+    lambda m, d, tol: output_density(m, d, [0.5], tol),
+    lambda m, d, tol: branch_posterior(m, d, [0.5], tol),
+    lambda m, d, tol: loss_eq5_mc(m, d, 2000, 1, tol=tol),
+], ids=["build_candidates", "preimage", "output_density", "branch_posterior",
+        "loss_eq5_mc"])
+def test_map_back_tolerance_must_be_finite_and_positive(setups, entry, tol):
+    # at 0 every candidate whose round trip is not bit-exact is dropped;
+    # a negative or NaN tolerance drops every candidate
+    s = setups["ex3_exp_sawtooth"]
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        entry(s.pmap, s.density, tol)
