@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import InputDensity, PiecewiseMap
+from .transform import DEFAULT_TOL
 
 __all__ = ["Classification", "classify", "atom_scan"]
 
@@ -95,12 +96,12 @@ def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
 
 
 def atom_scan(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
-              seed: int = 0, tol: float = 1e-9,
+              seed: int = 0,
               classification: Classification | None = None
               ) -> list[tuple[tuple[float, ...], float]]:
     """Output atoms: the constant output point of every positive-mass
     constant_point part, with its estimated probability mass.  Parts
-    mapping to the same point (within tol) are clustered.
+    mapping to the same point (within ``DEFAULT_TOL``) are clustered.
 
     Given the ``classify(m, d, n, seed)`` result, the scan reads the
     sample that verdict was read from instead of drawing it again; a
@@ -118,7 +119,7 @@ def atom_scan(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
         y_star = ys[0]
         merged = False
         for j, (y0, m0) in enumerate(atoms):
-            if np.max(np.abs(y0 - y_star)) <= tol * (1.0 + np.max(np.abs(y0))):
+            if np.max(np.abs(y0 - y_star)) <= DEFAULT_TOL * (1.0 + np.max(np.abs(y0))):
                 atoms[j] = (y0, m0 + mass)
                 merged = True
                 break

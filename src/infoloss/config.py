@@ -17,13 +17,14 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import exprlang
+from . import exprlang, loss
 from .errors import ConfigError
 from .exprlang import Expr
 from .geometry import Box, Region, box_volume
-from .loss import MAX_DEPTH_BITS
-from .model import DENSITY_FORMS, Branch, BranchFamily, InputDensity, PiecewiseMap
-from .numerics import make_generator
+from .model import (DEFAULT_K_MAX, DENSITY_FORMS, Branch, BranchFamily,
+                    InputDensity, PiecewiseMap)
+from .numerics import EMPTY_SUPPORT_PROPOSALS, make_generator
+from .transform import DEFAULT_TOL
 
 __all__ = [
     "AnalysisParams",
@@ -37,7 +38,6 @@ __all__ = [
     "triangle_abs_config",
 ]
 
-_VOLUME_ESTIMATE_N = 1 << 20
 _VOLUME_ESTIMATE_SEED = 0xA11CE
 
 
@@ -47,8 +47,8 @@ class AnalysisParams:
     seed: int = 1
     nodes_per_dim: int = 512
     depths: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8)
-    k_max: int = 64
-    tol: float = 1e-9
+    k_max: int = DEFAULT_K_MAX
+    tol: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,11 @@ def at_least_one(where: str, value: int) -> int:
 
 def check_depths(where: str, depths: tuple[int, ...],
                  dim: int) -> tuple[int, ...]:
-    """``depths`` if every depth is nonnegative and its sweep cell index,
-    of depth * dim bits, fits the int64 range (depth * dim <= 62), else a
-    ConfigError naming ``where``."""
-    if any(v < 0 for v in depths):
-        raise ConfigError(f"{where} must be nonnegative, got {list(depths)}")
-    if any(v * dim > MAX_DEPTH_BITS for v in depths):
-        raise ConfigError(f"{where} must have depth * dim <= {MAX_DEPTH_BITS}"
-                          f" (dim {dim}), got {list(depths)}")
-    return depths
+    """``loss.check_depths`` with its ValueError as a ConfigError."""
+    try:
+        return loss.check_depths(where, depths, dim)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _real(value, where: str) -> float:
@@ -193,7 +189,7 @@ def _density(obj, dim: int) -> InputDensity:
         # acceptance fraction of uniform box samples
         lo, hi = support.bbox.arrays()
         rng = make_generator(_VOLUME_ESTIMATE_SEED)
-        pts = lo + rng.random((_VOLUME_ESTIMATE_N, dim)) * (hi - lo)
+        pts = lo + rng.random((EMPTY_SUPPORT_PROPOSALS, dim)) * (hi - lo)
         frac = float(support.contains_batch(pts).mean())
         if frac == 0.0:
             raise _fail("density.support", "no box sample satisfies the predicate")

@@ -80,6 +80,17 @@ MAX_DEPTH_BITS = 62
 _SWEEP_TILE = TILE_COLUMNS  # table columns (sample rows) per sweep tile
 
 
+def check_depths(where: str, depths: Sequence[int],
+                 dim: int) -> tuple[int, ...]:
+    """``depths`` as ints if each is nonnegative and its sweep cell index,
+    of depth * dim bits, fits an int64, else a ValueError naming ``where``."""
+    depths = tuple(int(v) for v in depths)
+    if any(v < 0 or v * dim > MAX_DEPTH_BITS for v in depths):
+        raise ValueError(f"{where} must be nonnegative with depth * dim <= "
+                         f"{MAX_DEPTH_BITS} (dim {dim}), got {list(depths)}")
+    return depths
+
+
 @dataclass(frozen=True)
 class LossReport:
     loss_bits: float
@@ -156,8 +167,8 @@ class _Chunk:
 
     @cached_property
     def jac(self) -> np.ndarray:
-        """|det J| per row, checked on the bijective rows; no reducer
-        reads the other rows."""
+        """|det J| per row, checked on the bijective rows; the reducers
+        overwrite the terms of the other rows (``_loss_rows``)."""
         jac = self.m.jac_batch(self.x, *self.dispatch)
         check_jacobian(self.x, jac, self.ok)
         return jac
@@ -189,39 +200,44 @@ def _flags(ch: _Chunk) -> tuple[bool, int]:
     return bool(ch.table.truncated.any()), int(np.count_nonzero(~ch.ok))
 
 
-def _log_jac(ch: _Chunk) -> np.ndarray:
-    v = np.zeros(ch.x.shape[0])
-    v[ch.ok] = np.log2(ch.jac[ch.ok])
+def _loss_rows(ch: _Chunk, v: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """``v``, a reducer's terms on every row (rows on its last axis), with
+    ``fill`` written in place on the rows that carry no loss."""
+    np.copyto(v, fill, where=~ch.ok)
     return v
 
 
-def _eq5(ch: _Chunk):
+def _log_jac(ch: _Chunk) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _loss_rows(ch, np.log2(ch.jac))
+
+
+def _eq5_terms(ch: _Chunk) -> np.ndarray:
+    """The eq. 5 integrand per row, 0 on the rows that carry no loss."""
     fy = ch.f_y_checked()
-    v = np.zeros(ch.x.shape[0])
-    ok = ch.ok
-    v[ok] = np.log2(fy[ok] * ch.jac[ok] / ch.fx[ok])
-    return chunk_moments(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _loss_rows(ch, np.log2(fy * ch.jac / ch.fx))
+
+
+def _eq5(ch: _Chunk):
+    return chunk_moments(_eq5_terms(ch))
 
 
 def _corollary1(ch: _Chunk):
     fy = ch.f_y_checked()
-    ok = ch.ok
-    mlen = ok.shape[0]
-    neg_log_fx = np.zeros(mlen)
-    neg_log_fx[ok] = -np.log2(ch.fx[ok])
-    neg_log_fy = np.zeros(mlen)
-    neg_log_fy[ok] = -np.log2(fy[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg_log_fx = _loss_rows(ch, -np.log2(ch.fx))
+        neg_log_fy = _loss_rows(ch, -np.log2(fy))
     log_jac = _log_jac(ch)
     exact_hx = ch.d.exact_diffent_bits
-    hx_term = np.full(mlen, exact_hx) if exact_hx is not None else neg_log_fx
+    hx_term = neg_log_fx if exact_hx is None else np.full_like(fy, exact_hx)
     v = hx_term - neg_log_fy + log_jac
     return tuple(chunk_moments(a) for a in (v, neg_log_fx, neg_log_fy, log_jac))
 
 
 def _branch_posterior(ch: _Chunk):
     ch.f_y_checked()
-    h = posterior_entropy_bits(ch.table)
-    return chunk_moments(np.where(ch.ok, h, 0.0))
+    return chunk_moments(_loss_rows(ch, posterior_entropy_bits(ch.table)))
 
 
 def _code_counts(ch: _Chunk) -> dict[int, int]:
@@ -235,7 +251,7 @@ def _cardinality(ch: _Chunk):
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ZeroDensityError(ch.y[i])
-    card = np.where(ch.ok, card, 1.0)
+    _loss_rows(ch, card, 1.0)
     return (chunk_moments(np.log2(card)), chunk_moments(card),
             int(card.max()), _code_counts(ch))
 
@@ -295,7 +311,7 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
         for j, cell in enumerate(_dyadic_cells(u, depths)):
             np.copyto(cell, -1, where=invalid)
             h[j, cols] = _grouped_entropy_bits(cell, wn)
-    np.copyto(h, 0.0, where=~ch.ok)
+    _loss_rows(ch, h)
     return tuple(chunk_moments(hj) for hj in h)
 
 
@@ -403,12 +419,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
         main["flags"] = _flags  # last: the reducers' checks come first
     jobs = {cm: dict(main) for cm in chunk_plan(n)} if main else {}
     if "sweep" in estimators:
-        depths = [int(v) for v in depths]
-        if any(v < 0 for v in depths):
-            raise ValueError("depths must be nonnegative")
-        if any(v * m.dim > MAX_DEPTH_BITS for v in depths):
-            raise ValueError(f"depth * dim must be at most {MAX_DEPTH_BITS}, "
-                             f"got depths {depths} at dim {m.dim}")
+        depths = check_depths("depths", depths, m.dim)
         sweep = partial(_sweep_depths, depths=depths)
         sweep_n = n if sweep_n is None else sweep_n
         for cm in chunk_plan(sweep_n):
@@ -435,7 +446,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
                                          _merge_counts(counts), truncated)
     if "sweep" in out:
         results = [merge_moments(col) for col in zip(*out["sweep"])]
-        res["sweep"] = PartitionSweep(tuple(depths),
+        res["sweep"] = PartitionSweep(depths,
                                       tuple(r.mean for r in results),
                                       tuple(r.stderr for r in results),
                                       sweep_n, seed)
@@ -460,6 +471,7 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
 
     Cells whose midpoint carries zero input density are skipped; cells
     straddling region boundaries contribute via their midpoint's branch.
+    The integrand is ``eq5_mc``'s, zero output density refused alike.
     """
     _gate(m, d, seed, classification)
     truncated = False
@@ -473,16 +485,8 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
             return out
         ch = _Chunk(m, d, take_rows(pts, live), tol, k_max)
         ch.fx = fx[live]  # the fx stage, already computed
-        ok = ch.ok
-        if not np.any(ok):
-            return out
-        jac = ch.jac  # a singular Jacobian is reported before the table
-        t = ch.table
-        truncated |= bool(t.truncated.any())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = ch.fx * np.log2(np.maximum(t.f_y, 1e-300) * jac / ch.fx)
-        np.copyto(v, 0.0, where=~ok)
-        out[live] = v
+        out[live] = ch.fx * _eq5_terms(ch)
+        truncated |= bool(ch.table.truncated.any())
         return out
 
     total = tensor_quadrature(d.support.bbox, integrand, nodes_per_dim)

@@ -184,13 +184,11 @@ class PiecewiseMap:
         return p.name
 
     def codes_batch(self, part_idx: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Unique int64 subdomain code per row (family members distinct)."""
-        is_fam = np.array([isinstance(p, BranchFamily) for p in self.parts],
-                          dtype=bool)
+        """Unique int64 subdomain code per row (family members distinct),
+        from ``dispatch_batch``'s part and member (k is 0 on a branch)."""
         k_lo = np.array([p.k_lo if isinstance(p, BranchFamily) else 0
                          for p in self.parts], dtype=np.int64)
-        codes = part_idx.astype(np.int64) * _CODE_SHIFT
-        return codes + np.where(is_fam[part_idx], k - k_lo[part_idx], 0)
+        return part_idx.astype(np.int64) * _CODE_SHIFT + (k - k_lo[part_idx])
 
     # -- vectorized membership / dispatch --------------------------------
 
@@ -249,27 +247,28 @@ class PiecewiseMap:
                 k += kk * mask
         return part_idx, k
 
-    def forward_batch(self, x: np.ndarray, part_idx: np.ndarray,
-                      k: np.ndarray) -> np.ndarray:
-        """g(x) per row, by the part ``part_idx`` names (NaN where it
-        names none).  Each part that owns rows is evaluated on every row
-        and written where it owns them, with no gather of ``x`` and no
-        scatter into ``y``; ``y`` has the layout of ``x``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.full_like(x, np.nan)
+    def _part_rows(self, part_idx: np.ndarray, k: np.ndarray):
+        """(index, part, rows, k) per part that owns rows: ``rows`` True if
+        it owns every row, else its mask; ``k`` None on a branch.  Callers
+        evaluate the part on all rows and ``np.copyto(out, v, where=rows)``."""
         for i, p in enumerate(self.parts):
             rows = part_idx == i
-            if not rows.any():
-                continue
-            every = rows.all()
-            binding = bind_columns(
-                x, k if isinstance(p, BranchFamily) else None)
+            owned = np.count_nonzero(rows)
+            if owned:
+                yield (i, p, True if owned == rows.size else rows,
+                       k if isinstance(p, BranchFamily) else None)
+
+    def forward_batch(self, x: np.ndarray, part_idx: np.ndarray,
+                      k: np.ndarray) -> np.ndarray:
+        """g(x) per row by the part ``part_idx`` names (NaN where none),
+        through ``_part_rows``; ``y`` has the layout of ``x``."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.full_like(x, np.nan)
+        for _, p, rows, kk in self._part_rows(part_idx, k):
+            binding = bind_columns(x, kk)
             with np.errstate(all="ignore"):
                 for d, fe in enumerate(p.code.forward):
-                    if every:
-                        y[:, d] = fe.value(binding)
-                    else:
-                        np.copyto(y[:, d], fe.value(binding), where=rows)
+                    np.copyto(y[:, d], fe.value(binding), where=rows)
         return y
 
     def _fd_matrices(self, p: Part, x: np.ndarray,
@@ -311,26 +310,20 @@ class PiecewiseMap:
         if code.jac_const is not None:
             return code.jac_const
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if code.jac is None:
-            return self._fd_jac(self.parts[part_index], x, k)
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # rows outside the part are read too
+            if code.jac is None:
+                return self._fd_jac(self.parts[part_index], x, k)
             return np.abs(np.asarray(code.jac.value(bind_columns(x, k)),
                                      dtype=float))
 
     def jac_batch(self, x: np.ndarray, part_idx: np.ndarray,
                   k: np.ndarray) -> np.ndarray:
-        """|det J| per row for the assigned parts; no singularity check."""
+        """|det J| per row for the assigned parts (NaN where ``part_idx``
+        names none), through ``_part_rows``; no singularity check."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.full(x.shape[0], np.nan)
-        for i, p in enumerate(self.parts):
-            rows = part_idx == i
-            if not rows.any():
-                continue
-            if p.code.jac_const is not None:
-                out[rows] = p.code.jac_const  # no rows to gather
-                continue
-            kk = k[rows] if isinstance(p, BranchFamily) else None
-            out[rows] = self.part_jac(i, x[rows], kk)
+        for i, _, rows, kk in self._part_rows(part_idx, k):
+            np.copyto(out, self.part_jac(i, x, kk), where=rows)
         return out
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionTooHighError
+from .errors import ConfigError, DimensionTooHighError
 
 __all__ = [
     "CHUNK_SIZE",
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
+EMPTY_SUPPORT_PROPOSALS = 1 << 20  # box points all rejected: empty support
 TILE_COLUMNS = 4096  # table columns (sample rows) per cache-sized tile; >= 2
 _MASK64 = (1 << 64) - 1
 
@@ -274,7 +275,7 @@ def rejection_sample(accept: Callable[[np.ndarray, np.random.Generator],
     ``uniform_box_sample``; ``accept(x, rng)`` returns the mask of the
     rows kept, and may draw from ``rng`` after the batch.  Returns the
     first n rows kept, column-contiguous, plus the observed acceptance
-    rate.
+    rate; a ConfigError once ``EMPTY_SUPPORT_PROPOSALS`` accept none.
     """
     out = np.empty((n, lo.size), order="F")
     got = 0
@@ -287,6 +288,9 @@ def rejection_sample(accept: Callable[[np.ndarray, np.random.Generator],
         proposed += batch
         idx = np.flatnonzero(ok)
         accepted += idx.size
+        if not accepted and proposed >= EMPTY_SUPPORT_PROPOSALS:
+            raise ConfigError(f"density: none of {proposed} proposals "
+                              "accepted; the support or pdf is empty")
         take = min(n - got, idx.size)
         take_rows(x, idx[:take], out[got:got + take])
         got += take

@@ -1,19 +1,21 @@
-"""Column-contiguous points in the chunk pipeline, and dispatch and
-forward without gathers.
+"""Column-contiguous points in the chunk pipeline, and dispatch, forward
+and Jacobian without gathers.
 
 The samplers, the chunk's forward map and the candidate table keep every
 (m, N) array of points column-contiguous, so each coordinate ``x[:, d]``
-is one contiguous run.  ``dispatch_batch`` and ``forward_batch`` no
-longer gather or scatter rows per part; the references below are the
-former per-part gather code, and the new code must give the same bytes
-and raise the same error at the same row.
+is one contiguous run.  ``dispatch_batch``, ``forward_batch`` and
+``jac_batch`` no longer gather or scatter rows per part; the references
+below are the former per-part gather code, and the new code must give
+the same bytes and raise the same error at the same row.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from conftest import PRESET_NAMES
-from infoloss.config import load_config
+from infoloss.config import load_config, preset_path
 from infoloss.errors import AmbiguousBranchError, NoBranchError
 from infoloss.loss import _Chunk
 from infoloss.model import DEFAULT_K_MAX, BranchFamily, bind_columns
@@ -136,6 +138,22 @@ def _reference_forward(m, x, part_idx, k):
     return y
 
 
+def _reference_jac(m, x, part_idx, k):
+    """The former Jacobian: a constant scattered onto each part's rows,
+    else the part's |det J| at its gathered rows, scattered."""
+    out = np.full(x.shape[0], np.nan)
+    for i, p in enumerate(m.parts):
+        rows = part_idx == i
+        if not rows.any():
+            continue
+        if p.code.jac_const is not None:
+            out[rows] = p.code.jac_const
+            continue
+        kk = k[rows] if isinstance(p, BranchFamily) else None
+        out[rows] = m.part_jac(i, x[rows], kk)
+    return out
+
+
 def _outcome(fn, *args):
     """The arrays ``fn`` returns, or its error's type, point and text."""
     try:
@@ -165,9 +183,20 @@ BIJECTIVE_PRESETS = [n for n in PRESET_NAMES
                      if n not in ("ex5_radius_only", "quantizer_uniform")]
 
 
-@pytest.mark.parametrize("name", BIJECTIVE_PRESETS)
+def fold_square_by_differences():
+    """``ex1_fold_square`` without its |det J| expressions: both
+    bijective parts take the Jacobian by central differences."""
+    doc = json.loads(preset_path("ex1_fold_square").read_text())
+    for part in doc["parts"]:
+        del part["jac_abs_det"]
+    return load_config(doc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", BIJECTIVE_PRESETS + ["fold_square_fd"])
 def test_dispatch_and_forward_match_the_gathered_reference(setups, name):
-    s = setups[name]
+    s = (fold_square_by_differences() if name == "fold_square_fd"
+         else setups[name])
     m = s.pmap
     assert any(p.kind == "bijective" for p in m.parts)
     for kind, x in _probe_points(s, 11).items():
@@ -189,6 +218,13 @@ def test_dispatch_and_forward_match_the_gathered_reference(setups, name):
         assert np.array_equal(
             m.forward_batch(np.ascontiguousarray(xs), part_idx, k), ref,
             equal_nan=True)
+        # the Jacobian: constants, expressions (ex2's 2*abs(x1)) and
+        # central differences (the limiter's rails, ex4's rim and origin,
+        # the fold without expressions) alike
+        jac = m.jac_batch(xs, part_idx, k)
+        assert jac.dtype == np.float64 and np.array_equal(
+            jac, _reference_jac(m, xs, part_idx, k), equal_nan=True), (name,
+                                                                       kind)
 
 
 def test_sawtooth_dispatch_names_the_member(setups):

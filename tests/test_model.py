@@ -1,14 +1,17 @@
 """Piecewise map model: dispatch, forward, Jacobians, validation, densities."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from infoloss.cli import main as cli_main
 from infoloss.config import load_config
 from infoloss.errors import (
     AmbiguousBranchError,
     BoundViolationError,
+    ConfigError,
     NoBranchError,
     SingularJacobianError,
 )
@@ -421,6 +424,44 @@ def test_rejection_samplers_keep_the_reference_bytes(setups, form, n, seed):
     expected, expected_rate = reference(d, n, seed)
     assert pts.tobytes() == expected.tobytes()
     assert rate == expected_rate
+
+
+def empty_density_doc(form):
+    """The identity on [0, 1] under an input density that accepts no
+    proposal: a uniform_region declaring its volume, with a support
+    outside its box, or an expression pdf that is 0 everywhere."""
+    box = [[0.0, 1.0]]
+    density = ({"form": "uniform_region", "params": {"volume": 1.0},
+                "support": {"predicate": "x1 > 5", "bbox": box}}
+               if form == "uniform_region" else
+               {"form": "expression", "pdf": "0*x1", "pdf_bound": 1.0,
+                "support": {"predicate": "x1 >= 0 and x1 <= 1",
+                            "bbox": box}})
+    return {"dim": 1, "density": density,
+            "parts": [{"type": "branch", "name": "all", "kind": "bijective",
+                       "region": {"predicate": "x1 >= 0 and x1 <= 1",
+                                  "bbox": box},
+                       "forward": ["x1"], "inverse": ["y1"],
+                       "jac_abs_det": "1"}]}
+
+
+@pytest.mark.parametrize("n", [1, 70_000])
+@pytest.mark.parametrize("form", ["uniform_region", "expression"])
+def test_rejection_sampler_refuses_an_empty_density(form, n):
+    # the sampler used to propose forever; it gives up after 2**20
+    # proposals that accept nothing
+    d = load_config(empty_density_doc(form)).density
+    with pytest.raises(ConfigError, match="support or pdf is empty"):
+        d.sample_with_rate(n, 1)
+
+
+@pytest.mark.parametrize("command", ["validate", "loss", "report"])
+@pytest.mark.parametrize("form", ["uniform_region", "expression"])
+def test_cli_empty_density_exit_2(tmp_path, capsys, form, command):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(empty_density_doc(form)))
+    assert cli_main([command, str(p), "--n", "2000"]) == 2
+    assert "support or pdf is empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["ex6_m1", "identity"])
