@@ -82,8 +82,14 @@ _SWEEP_TILE = TILE_COLUMNS  # table columns (sample rows) per sweep tile
 
 def check_depths(where: str, depths: Sequence[int],
                  dim: int) -> tuple[int, ...]:
-    """``depths`` as ints if each is nonnegative and its sweep cell index,
-    of depth * dim bits, fits an int64, else a ValueError naming ``where``."""
+    """``depths`` as ints if each is an integer (a Python or numpy
+    integer, not a bool or a float), nonnegative, and its sweep cell
+    index, of depth * dim bits, fits an int64, else a ValueError naming
+    ``where``."""
+    depths = tuple(depths)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in depths):
+        raise ValueError(f"{where} must be integers, got {list(depths)}")
     depths = tuple(int(v) for v in depths)
     if any(v < 0 or v * dim > MAX_DEPTH_BITS for v in depths):
         raise ValueError(f"{where} must be nonnegative with depth * dim <= "
@@ -268,7 +274,7 @@ def _dyadic_cells(u: np.ndarray, depths: Sequence[int]):
     D - d.  Scaling by a power of two is exact and floor(floor(2**s z) /
     2**s) = floor(z), so the shift gives the per-depth index, except
     that u >= 1 shifts to 2**d, which the per-depth clip bound caps.
-    ``u`` must be finite.  Every yielded array is new.
+    ``u`` must be finite.  Every yielded array is new and C-contiguous.
     """
     deepest = max(depths, default=0)
     top = float(1 << deepest)
@@ -298,19 +304,22 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
     table in the column tiles of ``column_tiles`` (``_SWEEP_TILE`` sample
     rows) so that one tile's working set is reused by every depth while
     it is in cache.  Per tile the cells of every depth come from one
-    scaling at the deepest depth (``_dyadic_cells``), and the posterior
-    weights are normalized once."""
+    scaling at the deepest depth (``_dyadic_cells``), the posterior
+    weights are normalized once, the invalid slots are found once, and
+    the running sums of the normalized weights are shared by every depth
+    whose cells are presorted (``_RunningSums``)."""
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
     h = np.empty((len(depths), t.f_y.shape[0]))
     for cols in column_tiles(t.f_y.shape[0], _SWEEP_TILE):
         u = (t.x[:, cols] - lo) / (hi - lo)
-        invalid = ~t.valid[:, cols]
+        invalid = np.flatnonzero(~t.valid[:, cols])  # flat (slot, column)
         wn = t.weight[:, cols] / np.maximum(t.f_y[cols], 1e-300)
+        sums = _RunningSums(wn)
         for j, cell in enumerate(_dyadic_cells(u, depths)):
-            np.copyto(cell, -1, where=invalid)
-            h[j, cols] = _grouped_entropy_bits(cell, wn)
+            cell.reshape(-1)[invalid] = -1  # a view: the cells are C-contiguous
+            h[j, cols] = _grouped_entropy_bits(cell, wn, sums)
     _loss_rows(ch, h)
     return tuple(chunk_moments(hj) for hj in h)
 
@@ -530,14 +539,60 @@ def _accumulate_rows(op, a: np.ndarray, reverse: bool = False) -> np.ndarray:
     return a
 
 
-def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray) -> np.ndarray:
+class _RunningSums:
+    """The running sums of the (S, m) weights ``ww`` down the slot axis,
+    each built on first use and then kept: ``csum``, the running sum one
+    slot at a time; ``base``, ``csum - ww``, the running sum before each
+    slot; ``nonpositive``, the flat (slot, column) positions where ww is
+    not positive; and ``monotone``, whether a running maximum of
+    ``base`` and a running minimum of ``csum`` (from the last slot up)
+    would leave every bit of them as it is.  Nothing writes to ``ww`` or
+    to the sums."""
+
+    def __init__(self, ww: np.ndarray):
+        self.ww = ww
+
+    @cached_property
+    def csum(self) -> np.ndarray:
+        return _accumulate_rows(np.add, self.ww.copy())
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        # C-contiguous, as the csum copy is, whatever the layout of ww
+        return np.subtract(self.csum, self.ww, out=np.empty_like(self.csum))
+
+    @cached_property
+    def nonpositive(self) -> np.ndarray:
+        return np.flatnonzero(~(self.ww > 0.0))
+
+    @cached_property
+    def monotone(self) -> bool:
+        """Both sums nondecreasing down every column (NaN fails), with
+        no -0.0 in either.  Equal values then have equal bits, so each
+        step of the running maximum or minimum returns the current
+        slot's own value.  A sum of two floats is -0.0 only when both
+        are, so ``csum`` has a -0.0 only below a first slot of -0.0,
+        and ``base`` (x - y is -0.0 only for x = -0.0, y = +0.0) none;
+        a sign bit on the first slot is refused, negatives with it."""
+        csum, base = self.csum, self.base
+        return bool(not np.signbit(csum[0]).any()
+                    and np.all(csum[1:] >= csum[:-1])
+                    and np.all(base[1:] >= base[:-1]))
+
+
+def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
+                          sums: Optional[_RunningSums] = None) -> np.ndarray:
     """Entropy per row of posterior weights aggregated over equal cells.
 
     cells: (S, m) int codes (-1 for invalid slots, whose weight is 0);
     wn: (S, m) posterior weights, normalized as
     ``weight / np.maximum(f_y, 1e-300)`` with f_y the column sums of the
     unnormalized weights (the sweep normalizes a tile once for all its
-    depths).  ``wn`` is not written to.
+    depths).  ``wn`` is not written to.  ``sums``, the ``_RunningSums``
+    of ``wn``, lets the depths of one tile share its running sums, which
+    the kernel reads and never writes, when every column of ``cells`` is
+    presorted (the running sums depend only on the slot order, the
+    identity there); otherwise it builds its own for the sorted weights.
 
     Arithmetic contract, which the report's bytes depend on and any
     other kernel must keep: the slots of each column are taken in their
@@ -548,6 +603,13 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray) -> np.ndarray:
     a running maximum); the entropy terms are summed over slots in sorted
     order, one slot at a time.  Grouping by ``bincount``, ``np.unique``,
     a flat composite key or a pairwise sum rounds differently.
+
+    Where no slot continues a run (no two neighbours share a cell) and
+    ``_RunningSums.monotone`` holds, the running maximum and minimum
+    would change no bit, and the group weight is ``csum - base`` as it
+    is.  A nondecreasing ``csum - ww`` is not given: normalized weights
+    0.1, 1e-21, 0.7 give 0, 0.12500000000000003, 0.125 by rounding.
+    Masked fills are written by flat index, which gives the same bytes.
 
     Columns are independent, so any column tiling of the table keeps the
     bytes, with one exception: numpy sums the slots of a one-column
@@ -560,25 +622,30 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray) -> np.ndarray:
     if np.all(cells[1:] >= cells[:-1]):
         # every column in order: the stable sort order is the identity
         c, ww = cells, wn
+        rs = _RunningSums(wn) if sums is None else sums
     else:
         order = np.argsort(cells, axis=0, kind="stable")
         c = np.take_along_axis(cells, order, axis=0)
         ww = np.take_along_axis(wn, order, axis=0)
+        rs = _RunningSums(ww)
     same = c[1:] == c[:-1]  # row s + 1 continues the run of row s
-    csum = _accumulate_rows(np.add, ww.copy())
-    # cumulative sum just before each run, forward-filled down the run
-    base = csum - ww
-    np.copyto(base[1:], -np.inf, where=same)
-    _accumulate_rows(np.maximum, base)
-    # cumulative sum at each run's end, backward-filled up the run (in the
-    # running sum's own buffer, which then holds the group weights)
-    np.copyto(csum[:-1], np.inf, where=same)
-    group = _accumulate_rows(np.minimum, csum, reverse=True)
-    group -= base
+    if not same.any() and rs.monotone:
+        group = rs.csum - rs.base
+    else:
+        runs = np.flatnonzero(same)
+        # cumulative sum just before each run, forward-filled down the run
+        base = rs.base.copy()
+        base[1:].reshape(-1)[runs] = -np.inf
+        _accumulate_rows(np.maximum, base)
+        # cumulative sum at each run's end, backward-filled up the run
+        group = rs.csum.copy()
+        group[:-1].reshape(-1)[runs] = np.inf
+        _accumulate_rows(np.minimum, group, reverse=True)
+        group -= base
     # the entropy terms ww * log2(group), 0 where ww is not positive
     contrib = np.log2(np.maximum(group, 1e-300, out=group), out=group)
     np.multiply(ww, contrib, out=contrib)
-    np.copyto(contrib, 0.0, where=~(ww > 0.0))
+    contrib.reshape(-1)[rs.nonpositive] = 0.0
     return -contrib.sum(axis=0)
 
 

@@ -423,9 +423,11 @@ class InputDensity:
                     np.asarray(self.pdf_code.value(bind_columns(x)), dtype=float),
                     (x.shape[0],)).copy()
             # vals is this call's own array: zero it in place outside the
-            # support and where it is not finite
-            np.copyto(vals, 0.0, where=~inside)
-            np.copyto(vals, 0.0, where=~np.isfinite(vals))
+            # support and where it is not finite, by one indexed write (a
+            # masked fill gives the same bytes, walking short runs)
+            keep = np.isfinite(vals)
+            keep &= inside
+            vals[(~keep).nonzero()[0]] = 0.0
             return vals
 
     def pdf(self, x) -> float:

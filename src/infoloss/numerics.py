@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -199,6 +198,10 @@ def run_chunks(fn: Callable[[int, int], object],
     """
     if workers <= 1 or len(plan) <= 1:
         return [fn(c, m) for c, m in plan]
+    # imported here: concurrent.futures brings logging with it, which
+    # ``import infoloss`` would otherwise pay for on every run
+    from concurrent.futures import ThreadPoolExecutor
+
     jobs = iter(enumerate(plan))
     lock = threading.Lock()
     results: list = [None] * len(plan)

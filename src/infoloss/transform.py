@@ -33,7 +33,10 @@ are views of the rows written.  After the build only the duplicate
 merge writes to them.  The candidate points are stored coordinate-major,
 an (N, S, m) buffer read through its (S, m, N) transpose, so each
 coordinate of a slot, or of a family's member block (whose member-major
-reshape stays a view), is one contiguous column.
+reshape stays a view), is one contiguous column.  A slot's weight is
+f_X divided by |det J| as ``part_jac`` returns it; the build keeps no
+|det J| buffer, and the rows a slot does not keep are zeroed by one
+indexed write.
 
 Everything here is built on one vectorized candidate table so the Monte
 Carlo and quadrature engines share the exact code path of the scalar
@@ -43,7 +46,8 @@ operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,35 +118,67 @@ class CandidateTable:
     The slot arrays are leading ``[:S]`` views of buffers allocated at
     the table's capacity; after ``build_candidates`` has written the
     slots, only its duplicate merge writes to them.
+
+    ``jac``, |det J| per slot and row with 1 where the slot is not
+    valid (a row the duplicate merge dropped included), is not stored:
+    it is computed from ``pmap.part_jac`` on first read.  No estimator
+    reads it, and ``preimage`` evaluates |det J| on the elements it
+    keeps.
     """
 
     x: np.ndarray          # (S, m, N), a view of an (N, S, m) buffer
     valid: np.ndarray      # (S, m) bool
     weight: np.ndarray     # (S, m)
-    jac: np.ndarray        # (S, m)
     part_of_slot: np.ndarray  # (S,) int64
     k_of_slot: np.ndarray  # (S,) int64
     f_y: np.ndarray        # (m,)
     truncated: np.ndarray  # (m,) bool
+    pmap: PiecewiseMap = field(repr=False, compare=False)
 
     @property
     def cardinality(self) -> np.ndarray:
         return np.count_nonzero(self.valid, axis=0)
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        slots = np.arange(self.weight.shape[0])
+        return np.where(self.valid, _slots_jac(self, slots), 1.0)
+
+
+def _slots_jac(t: CandidateTable, slots: np.ndarray) -> np.ndarray:
+    """|det J| at the candidates of the table rows ``slots``, one row of
+    values per slot, from one ``part_jac`` call per part over its slots'
+    candidates, member-major with ``k`` bound per row as the build binds
+    a member block.  No singularity check: the rows a slot does not keep
+    are evaluated too."""
+    rows, dim = t.x.shape[1], t.x.shape[2]
+    out = np.empty((slots.size, rows))
+    parts = t.part_of_slot[slots]
+    with np.errstate(all="ignore"):
+        for i in dict.fromkeys(parts.tolist()):
+            sel = (parts == i).nonzero()[0]
+            x = t.x[slots[sel]].reshape(-1, dim)
+            k = None
+            if isinstance(t.pmap.parts[i], BranchFamily):
+                k = np.repeat(t.k_of_slot[slots[sel]].astype(float), rows)
+            c = t.pmap.part_jac(i, x, k)
+            out[sel] = c if np.ndim(c) == 0 else c.reshape(sel.size, rows)
+    return out
 
 
 def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
                    y: np.ndarray, ks: Optional[np.ndarray], y_tol: np.ndarray,
                    out: tuple[np.ndarray, ...]):
     """Evaluate one part at the query rows ``y`` and write the candidate,
-    validity, density and Jacobian into ``out`` = (x, valid, weight, jac),
-    table rows of shape (n, N), (n,), (n,), (n,): one slot for a branch
+    validity and weight into ``out`` = (x, valid, weight), table rows of
+    shape (n, N), (n,), (n,): one slot for a branch
     (``ks`` None), one per member of the family block ``ks``, member-major
     with ``k`` bound per row.  Returns |det J| as ``part_jac`` gives it,
     one number or one value per row; the caller checks it on the valid
     rows of the slots it keeps."""
     p = m.parts[part_index]
     code = p.code
-    xc, valid, weight, jac = out
+    xc, valid, weight = out
     rows, n = y.shape[0], xc.shape[0]
     yb = y if n == rows else np.tile(y, (n // rows, 1))
     k = None
@@ -177,13 +213,10 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
         valid &= fx > 0.0
         valid &= dev <= (y_tol if n == rows else np.tile(y_tol, n // rows))
         valid &= back_finite
-        invalid = ~valid
         c = m.part_jac(part_index, xc, k)
-        jac[:] = c
-        np.copyto(jac, 1.0, where=invalid)
-        # where |det J| is one number c on every row, divide by it
-        np.divide(fx, c if np.ndim(c) == 0 else jac, out=weight)
-        np.copyto(weight, 0.0, where=invalid)
+        np.divide(fx, c, out=weight)
+        # the same bytes as a masked fill, without its walk over short runs
+        weight[(~valid).nonzero()[0]] = 0.0
     return c
 
 
@@ -191,14 +224,14 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
                   y: np.ndarray, y_tol: np.ndarray, k_max: int,
                   table: tuple[np.ndarray, ...], pos: int) -> tuple[int, bool]:
     """Write members k_lo, k_lo + 1, ... of one family into the rows
-    ``pos``, ``pos + 1``, ... of ``table`` = (x, valid, weight, jac).
+    ``pos``, ``pos + 1``, ... of ``table`` = (x, valid, weight).
     Returns how many members are kept and whether the enumeration
     stopped before the member range ended.  Members are evaluated in
     blocks of ``_MEMBER_BLOCK // rows``; the stop rule then walks the
     block one member at a time, and the rows of the members after the
     stop are left for the next part to overwrite."""
     p = m.parts[part_index]
-    x, valid, weight, jac = table
+    x, valid, weight = table
     rows = y.shape[0]
     block = max(1, _MEMBER_BLOCK // rows)
     running = np.zeros(rows)
@@ -215,8 +248,7 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
         blk = slice(pos + kept, pos + kept + count)
         xb, vb = x[blk].reshape(-1, m.dim), valid[blk].reshape(-1)
         c = _slot_for_part(m, d, part_index, y, np.arange(k, k + count),
-                           y_tol, (xb, vb, weight[blk].reshape(-1),
-                                   jac[blk].reshape(-1)))
+                           y_tol, (xb, vb, weight[blk].reshape(-1)))
         walked = count
         for j in range(count):
             s = blk.start + j
@@ -277,7 +309,6 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
     x = np.empty((m.dim, cap, rows)).transpose(1, 2, 0)
     valid = np.empty((cap, rows), dtype=bool)
     weight = np.empty((cap, rows))
-    jac = np.empty((cap, rows))
     slot_part: list[int] = []  # part index per slot
     slot_k: list[int] = []     # family member per slot, 0 for a branch
     truncated = np.zeros(rows, dtype=bool)
@@ -288,19 +319,19 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
         S = len(slot_part)
         if isinstance(p, Branch):
             c = _slot_for_part(m, d, i, y, None, y_tol,
-                               (x[S], valid[S], weight[S], jac[S]))
+                               (x[S], valid[S], weight[S]))
             check_jacobian(x[S], c, valid[S])
             slot_part.append(i)
             slot_k.append(0)
             continue
         kept, cut = _family_slots(m, d, i, y, y_tol, k_max,
-                                  (x, valid, weight, jac), S)
+                                  (x, valid, weight), S)
         slot_part += [i] * kept
         slot_k += range(p.k_lo, p.k_lo + kept)
         if cut:
             truncated |= True
     S = len(slot_part)
-    x, valid, weight, jac = x[:S], valid[:S], weight[:S], jac[:S]
+    x, valid, weight = x[:S], valid[:S], weight[:S]
 
     # merge duplicates produced by different parts (shared boundaries);
     # members of one family are disjoint by the model invariant
@@ -318,10 +349,10 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
             weight[b] = np.where(dup, 0.0, weight[b])
 
     return CandidateTable(
-        x=x, valid=valid, weight=weight, jac=jac,
+        x=x, valid=valid, weight=weight,
         part_of_slot=np.asarray(slot_part, dtype=np.int64),
         k_of_slot=np.asarray(slot_k, dtype=np.int64),
-        f_y=weight.sum(axis=0), truncated=truncated)
+        f_y=weight.sum(axis=0), truncated=truncated, pmap=m)
 
 
 # --- scalar operations -------------------------------------------------------
@@ -329,20 +360,20 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
 def preimage(m: PiecewiseMap, d: InputDensity, y, tol: float = DEFAULT_TOL,
              k_max: int = DEFAULT_K_MAX) -> PreimageSet:
     """All preimage candidates of y that survive the region, support and
-    map-back checks.  An empty set is valid: y lies outside the image."""
+    map-back checks, with |det J| evaluated on the candidates kept.  An
+    empty set is valid: y lies outside the image."""
     ya = np.asarray(y, dtype=float).reshape(1, -1)
     t = build_candidates(m, d, ya, tol, k_max)
+    kept = t.valid[:, 0].nonzero()[0]
     elems = []
-    for s in range(t.x.shape[0]):
-        if not t.valid[s, 0]:
-            continue
-        i = int(t.part_of_slot[s])
+    for i, k, x, jac, weight in zip(
+            t.part_of_slot[kept].tolist(), t.k_of_slot[kept].tolist(),
+            t.x[kept, 0].tolist(), _slots_jac(t, kept)[:, 0].tolist(),
+            t.weight[kept, 0].tolist()):
         p = m.parts[i]
-        ref = PartRef(i, p.name,
-                      int(t.k_of_slot[s]) if isinstance(p, BranchFamily) else None)
-        elems.append(PreimageElement(
-            part=ref, x=tuple(float(v) for v in t.x[s, 0]),
-            jac=float(t.jac[s, 0]), weight=float(t.weight[s, 0])))
+        ref = PartRef(i, p.name, k if isinstance(p, BranchFamily) else None)
+        elems.append(PreimageElement(part=ref, x=tuple(x), jac=jac,
+                                     weight=weight))
     return PreimageSet(tuple(elems), bool(t.truncated[0]))
 
 
@@ -388,6 +419,6 @@ def posterior_entropy_bits(table: CandidateTable) -> np.ndarray:
             # p * log2 p, 0 where p is not positive
             np.log2(np.maximum(p, 1e-300, out=term), out=term)
             np.multiply(p, term, out=term)
-            np.copyto(term, 0.0, where=~(p > 0.0))
+            term.reshape(-1)[np.flatnonzero(~(p > 0.0))] = 0.0
             h[cols] = -term.sum(axis=0)
     return h

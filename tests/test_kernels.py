@@ -102,6 +102,78 @@ def test_grouped_entropy_bits_edge_slot_counts(slots):
     assert got.tobytes() == expected.tobytes()
 
 
+@st.composite
+def shared_sweep_cases(draw):
+    """(cells per depth, w, f_y) of one sweep tile: every depth's cells
+    come from one set of deepest-depth cells shifted right, as
+    ``_dyadic_cells`` gives them, with -1 on invalid slots (zero
+    weight).  Columns are presorted (invalid slots first), unsorted or a
+    mix; weights include zeros, -0.0 and pairs such as 1e-21 then 0.7,
+    after which ``csum - ww`` can decrease by rounding."""
+    slots = draw(st.integers(1, 30))
+    rows = draw(st.integers(1, 6))
+    deepest = draw(st.integers(0, 6))
+    top = draw(hnp.arrays(np.int64, (slots, rows),
+                          elements=st.integers(0, (1 << deepest) - 1)))
+    invalid = draw(hnp.arrays(bool, (slots, rows)))
+    layout = draw(st.sampled_from(["sorted", "unsorted", "mixed"]))
+    cols = list(range(rows)) if layout == "sorted" else (
+        [] if layout == "unsorted"
+        else draw(st.lists(st.integers(0, rows - 1), max_size=rows)))
+    top[:, cols] = np.sort(top[:, cols], axis=0)
+    invalid[:, cols] = np.sort(invalid[:, cols], axis=0)[::-1]
+    w = draw(hnp.arrays(np.float64, (slots, rows),
+                        elements=st.sampled_from([0.0, -0.0, 1e-21, 0.1,
+                                                  0.25, 0.7, 1.0])
+                        | st.floats(0.0, 1.0)))
+    scale = draw(hnp.arrays(np.int64, rows, elements=st.integers(-300, 300)))
+    w = w * 10.0 ** scale.astype(float)
+    w[invalid] = 0.0
+    depths = sorted(set(draw(st.lists(st.integers(0, deepest), min_size=1,
+                                      max_size=4))))
+    cells = [np.where(invalid, -1, top >> (deepest - d)) for d in depths]
+    return cells, w, w.sum(axis=0)
+
+
+def _assert_shared_sweep_matches(cells, w, f_y):
+    """Every depth of one tile through one ``_RunningSums``, against the
+    per-depth kernel; the shared sums are left as built."""
+    wn = w / np.maximum(f_y, 1e-300)
+    sums = loss._RunningSums(wn)
+    for c in cells:
+        expected = reference_grouped_entropy_bits(c, w, f_y)
+        got = _grouped_entropy_bits(c.copy(), wn, sums)
+        assert got.tobytes() == expected.tobytes()
+    fresh = loss._RunningSums(wn)
+    for name, value in vars(sums).items():
+        assert np.asarray(value).tobytes() == \
+            np.asarray(getattr(fresh, name)).tobytes(), name
+    return sums
+
+
+@settings(max_examples=400, deadline=None)
+@given(shared_sweep_cases())
+def test_shared_running_sums_match_the_per_depth_kernel(case):
+    _assert_shared_sweep_matches(*case)
+
+
+@pytest.mark.parametrize("column, cells, monotone", [
+    # distinct cells, running sums increasing: the max/min are skipped
+    ([0.25, 0.25, 0.5], [0, 1, 2], True),
+    # normalized, csum - ww = 0, 0.12500000000000003, 0.125: it
+    # decreases, so the running max runs although no cell has two slots
+    ([0.1, 1e-21, 0.7], [0, 1, 2], False),
+    ([-0.0, 0.0, 0.5], [0, 1, 2], False),  # a -0.0 running sum
+    ([0.25, 0.25, 0.5], [0, 0, 2], True),  # a run of two: filled
+    ([0.0, 0.4, 0.6], [-1, 1, 1], True),   # an invalid slot first
+])
+def test_shared_running_sums_pinned_columns(column, cells, monotone):
+    w = np.array(column)[:, None] * np.ones((1, 3))
+    c = np.array(cells)[:, None] * np.ones((1, 3), dtype=np.int64)
+    sums = _assert_shared_sweep_matches([c], w, w.sum(axis=0))
+    assert sums.monotone is monotone
+
+
 _ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0, 3e-310]
 
 
@@ -399,7 +471,9 @@ def _reference_family(m, d, part_index, y, tol, k_max, member_block):
 def reference_build_candidates(m, d, y, tol, k_max, member_block):
     """The candidate table as the stack-based builder made it: per-slot
     arrays collected in a list, then copied into the table with
-    ``np.stack``."""
+    ``np.stack``.  Its |det J| buffer is the table's ``jac``: 1 on every
+    row a slot does not keep, the rows the duplicate merge drops
+    included."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     rows = y.shape[0]
     slots = []
@@ -417,7 +491,7 @@ def reference_build_candidates(m, d, y, tol, k_max, member_block):
         if cut:
             truncated |= True
     if not slots:
-        return transform.CandidateTable(
+        return SimpleNamespace(
             x=np.zeros((0, rows, m.dim)), valid=np.zeros((0, rows), dtype=bool),
             weight=np.zeros((0, rows)), jac=np.ones((0, rows)),
             part_of_slot=np.zeros(0, dtype=np.int64),
@@ -440,7 +514,8 @@ def reference_build_candidates(m, d, y, tol, k_max, member_block):
             dup = both & close
             valid[b] &= ~dup
             weight[b] = np.where(dup, 0.0, weight[b])
-    return transform.CandidateTable(
+            jac[b] = np.where(dup, 1.0, jac[b])
+    return SimpleNamespace(
         x=x, valid=valid, weight=weight, jac=jac,
         part_of_slot=part_arr, k_of_slot=np.asarray(slot_k, dtype=np.int64),
         f_y=weight.sum(axis=0), truncated=truncated)
@@ -538,6 +613,26 @@ def test_constant_jacobian_table_matches_the_stacked_builder(rows, member_block)
     assert np.all(got.jac[got.valid] == 2.0)
     assert np.all(got.jac[~got.valid] == 1.0)
     assert np.any(~got.valid) or rows == 1
+
+
+@pytest.mark.parametrize("name", ["ex1_fold_square", "ex3_exp_sawtooth"])
+def test_no_estimator_reads_the_table_jacobian(setups, name):
+    # the table's |det J| is computed only when read; the estimators and
+    # the scalar operations never read it
+    s = setups[name]
+    m, d = s.pmap, s.density
+
+    def refuse(table):
+        raise AssertionError("CandidateTable.jac was read")
+
+    with patch.object(transform.CandidateTable, "jac", property(refuse)):
+        loss.estimate(m, d, 3000, 1, loss.ESTIMATORS, depths=[0, 4])
+        loss.loss_eq5_quadrature(m, d, 64)
+        x = d.sample(5, 3)
+        for yi in m.forward_batch(x, *m.dispatch_batch(x)):
+            transform.preimage(m, d, yi)
+            transform.output_density(m, d, yi)
+            transform.branch_posterior(m, d, yi)
 
 
 # --- the chunk Jacobian ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from infoloss.errors import DimensionTooHighError, InfiniteLossError
 from infoloss.loss import (
     LossReport,
     differential_entropy_mc,
+    estimate,
     expected_log_jacdet,
     loss_branch_posterior,
     loss_corollary1,
@@ -187,6 +188,27 @@ def test_sweep_refuses_cell_indices_beyond_int64(setups, name, deepest):
     assert sw.depths == (deepest,) and math.isfinite(sw.losses_bits[0])
     with pytest.raises(ValueError, match="depth \\* dim"):
         partition_sweep(m, d, [0, deepest + 1], 2_000, 1)
+
+
+@pytest.mark.parametrize("depths", [[1.5, 2.9], [True, 2], [2.0], ["2"]],
+                         ids=["fractions", "bool", "integral_float", "string"])
+@pytest.mark.parametrize("route", ["partition_sweep", "estimate"])
+def test_sweep_refuses_depths_that_are_not_integers(setups, route, depths):
+    # int() used to truncate these: [1.5, 2.9] ran depths (1, 2)
+    s = setups["ex6_m1"]
+    with pytest.raises(ValueError, match="depths must be integers"):
+        if route == "partition_sweep":
+            partition_sweep(s.pmap, s.density, depths, 2_000, 1)
+        else:
+            estimate(s.pmap, s.density, 2_000, 1, ("sweep",), depths=depths)
+
+
+def test_sweep_takes_numpy_integer_depths(setups):
+    s = setups["ex6_m1"]
+    plain = partition_sweep(s.pmap, s.density, [1, 2], 2_000, 1)
+    for depths in (np.array([1, 2]), [np.int32(1), np.uint8(2)]):
+        sw = partition_sweep(s.pmap, s.density, depths, 2_000, 1)
+        assert sw == plain and all(type(v) is int for v in sw.depths)
 
 
 # --- quadrature --------------------------------------------------------------------

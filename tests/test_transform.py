@@ -1,5 +1,6 @@
 """Preimage sets, output density, branch posterior."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PRESET_NAMES
 from infoloss.config import load_config
 from infoloss.errors import ZeroDensityError
 from infoloss.loss import loss_eq5_mc
@@ -199,6 +201,41 @@ def test_preimage_contains_original_point(setups):
                          np.inf)
         best = dists.min(axis=0)
         assert np.all(best < 1e-8 * (1 + np.max(np.abs(x), axis=1))), name
+
+
+# preimage elements and the sha256 (first 16 hex digits) of their |det J|
+# bytes followed by their weight bytes, recorded when the candidate table
+# still held a |det J| buffer that preimage read
+PREIMAGE_DIGESTS = {
+    "identity": (32, "e31bedb0d9a84d33"),
+    "ex1_fold_square": (48, "1e637b20b9912326"),
+    "ex2_square_gaussian": (64, "b5f2f8cccb32995c"),
+    "ex3_exp_sawtooth": (960, "6e8414caf2e5af52"),
+    "ex4_polar_unitdisc": (31, "6a0a5258fb5f4f4f"),
+    "ex5_radius_only": (0, "e3b0c44298fc1c14"),
+    "ex6_m0": (63, "62b919727972d058"),
+    "ex6_m1": (60, "041634299a3c7e44"),
+    "ex6_m2": (32, "53fb698e8e7f8752"),
+    "quantizer_uniform": (0, "e3b0c44298fc1c14"),
+    "limiter_gaussian": (24, "ce844c4022ed5800"),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preimage_jacobian_and_weight_bytes_are_pinned(setups, name):
+    # 24 seeded samples mapped forward, and 8 of them rounded to a
+    # quarter grid, which puts some on shared region boundaries
+    m, d = setups[name].pmap, setups[name].density
+    x = d.sample(24, 7)
+    x = np.concatenate([x, np.round(x[:8] * 4.0) / 4.0])
+    jac, weight = [], []
+    for xi in x:
+        for e in preimage(m, d, forward_eval(m, xi)).elements:
+            jac.append(e.jac)
+            weight.append(e.weight)
+    data = np.array(jac).tobytes() + np.array(weight).tobytes()
+    assert (len(jac), hashlib.sha256(data).hexdigest()[:16]) == \
+        PREIMAGE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
