@@ -329,8 +329,19 @@ class PiecewiseMap:
 
 # --- spec-level scalar operations ----------------------------------------------
 
+def point_row(m: PiecewiseMap, point) -> np.ndarray:
+    """The point of a scalar query as one (1, ``m.dim``) row of floats.
+    A point must have exactly ``m.dim`` coordinates, whatever its shape:
+    any other count raises ValueError."""
+    a = np.asarray(point, dtype=float)
+    if a.size != m.dim:
+        raise ValueError(f"need a point of dim = {m.dim} coordinates, "
+                         f"got {a.size} in shape {a.shape}")
+    return a.reshape(1, -1)
+
+
 def forward_eval(m: PiecewiseMap, x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float).reshape(1, -1)
+    xa = point_row(m, x)
     return m.forward_batch(xa, *m.dispatch_batch(xa))[0]
 
 
@@ -338,7 +349,7 @@ def jac_abs_det_at(m: PiecewiseMap, x) -> float:
     """|det J| at x as ``jac_batch`` computes it (the part's expression,
     else central differences); a singular value raises
     :class:`SingularJacobianError`."""
-    xa = np.asarray(x, dtype=float).reshape(1, -1)
+    xa = point_row(m, x)
     jac = m.jac_batch(xa, *m.dispatch_batch(xa))
     check_jacobian(xa, jac)
     return float(jac[0])

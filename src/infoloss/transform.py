@@ -20,10 +20,16 @@ flag.  Members are evaluated in blocks of ``_MEMBER_BLOCK // rows``
 block's rows are the query rows repeated once per member, with ``k``
 bound per row, so a few query points take a whole family in one pass
 while a large batch still takes one member at a time.  The stop rule
-then walks the block member by member, adding each member's weights to
-the running sum in order; the members after the stop are dropped, and
-only the members kept are checked for a singular Jacobian, so the table
-and the first error raised are those of a one-member-at-a-time walk.
+then runs once per block (``_tail_stop``): the running sums add the
+members' weights in member order, by one accumulate down the block when
+it has fewer rows than members and by one full-width add per member
+otherwise, so every sum has the bytes of a one-member-at-a-time walk;
+whether a member is tiny is decided on row 0 first and over all rows
+only for the members row 0 does not settle; and the running sum,
+whether a valid member was seen and the tiny streak carry from block to
+block.  The members after the stop are dropped, and only the members
+kept are checked for a singular Jacobian, so the table and the first
+error raised are those of a one-member-at-a-time walk.
 
 The table is written once: its arrays are allocated at their capacity
 (one slot per branch, plus ``k_max`` or the member range, whichever is
@@ -66,6 +72,7 @@ from .model import (
     PiecewiseMap,
     bind_columns,
     check_jacobian,
+    point_row,
 )
 from .numerics import column_tiles, row_all, row_max
 
@@ -220,6 +227,54 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
     return c
 
 
+def _tail_stop(weight: np.ndarray, valid: np.ndarray, sums: np.ndarray,
+               running: np.ndarray, seen: bool, streak: bool):
+    """The family stop rule over one member block: ``weight`` and
+    ``valid`` are the block's (members, rows) table rows and ``sums``
+    the (members + 1, rows) buffer of running sums.  ``running``,
+    ``seen`` and ``streak`` are what the blocks before left: the running
+    sum, whether any member had a valid row, whether the last member was
+    tiny.  A member is tiny once a member up to it had a valid row and
+    its weight is at most ``_TAIL_REL`` of the running sum through it
+    on every row; the rule stops at the second tiny member in a row.
+
+    The sums add the members in order, as a walk would: by one
+    ``np.add.accumulate`` down the member axis when the block has fewer
+    rows than members, else by one full-width ``np.add`` per member.
+    Row 0 is tested first for every member, and the whole row only for
+    the members whose row 0 is tiny, in member order up to the stop.
+    Returns (members kept, whether the rule stopped, running, seen,
+    streak), ``running`` a row of ``sums``."""
+    count, rows = weight.shape
+    if rows < count:
+        sums[0] = running
+        sums[1:count + 1] = weight
+        np.add.accumulate(sums[:count + 1], axis=0, out=sums[:count + 1])
+    else:
+        for j in range(count):
+            np.add(running if j == 0 else sums[j], weight[j], out=sums[j + 1])
+    sums = sums[1:count + 1]
+    tiny = weight[:, 0] <= _TAIL_REL * np.maximum(sums[:, 0], 1e-300)
+    seen_at = None
+    if not seen:
+        seen_at = np.logical_or.accumulate(valid.any(axis=1))
+        tiny &= seen_at
+    if rows > 1:
+        for j in tiny.nonzero()[0].tolist():
+            tiny[j] = np.all(
+                weight[j] <= _TAIL_REL * np.maximum(sums[j], 1e-300))
+            if tiny[j] and (tiny[j - 1] if j else streak):
+                break
+    stop = tiny.copy()
+    stop[0] &= streak
+    stop[1:] &= tiny[:-1]
+    stopped = bool(stop.any())
+    walked = int(stop.argmax()) + 1 if stopped else count
+    if seen_at is not None:
+        seen = bool(seen_at[walked - 1])
+    return walked, stopped, sums[walked - 1], seen, bool(tiny[walked - 1])
+
+
 def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
                   y: np.ndarray, y_tol: np.ndarray, k_max: int,
                   table: tuple[np.ndarray, ...], pos: int) -> tuple[int, bool]:
@@ -227,16 +282,18 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
     ``pos``, ``pos + 1``, ... of ``table`` = (x, valid, weight).
     Returns how many members are kept and whether the enumeration
     stopped before the member range ended.  Members are evaluated in
-    blocks of ``_MEMBER_BLOCK // rows``; the stop rule then walks the
-    block one member at a time, and the rows of the members after the
-    stop are left for the next part to overwrite."""
+    blocks of ``_MEMBER_BLOCK // rows``; ``_tail_stop`` then applies the
+    stop rule to the whole block, carrying the running sum, whether a
+    valid member was seen and the tiny streak from block to block.  The
+    members up to the stop are kept and checked for a singular Jacobian;
+    the rows of the members after it are left for the next part to
+    overwrite."""
     p = m.parts[part_index]
     x, valid, weight = table
     rows = y.shape[0]
     block = max(1, _MEMBER_BLOCK // rows)
-    running = np.zeros(rows)
-    any_valid_seen = False
-    small_streak = 0
+    sums = np.zeros((max(min(block, k_max), 0) + 1, rows))
+    running, seen, streak = sums[0], False, False
     k = p.k_lo
     kept = 0
     while p.k_hi is None or k <= p.k_hi:
@@ -249,25 +306,14 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
         xb, vb = x[blk].reshape(-1, m.dim), valid[blk].reshape(-1)
         c = _slot_for_part(m, d, part_index, y, np.arange(k, k + count),
                            y_tol, (xb, vb, weight[blk].reshape(-1)))
-        walked = count
-        for j in range(count):
-            s = blk.start + j
-            running += weight[s]
-            if np.any(valid[s]):
-                any_valid_seen = True
-            if any_valid_seen:
-                tiny = np.all(
-                    weight[s] <= _TAIL_REL * np.maximum(running, 1e-300))
-                small_streak = small_streak + 1 if tiny else 0
-                if small_streak >= 2:
-                    walked = j + 1
-                    break
+        walked, stopped, running, seen, streak = _tail_stop(
+            weight[blk], valid[blk], sums, running, seen, streak)
         # the members walked are kept; the first singular row among them
         # is the one a member-by-member check would meet first
         n = walked * rows
         check_jacobian(xb[:n], c if np.ndim(c) == 0 else c[:n], vb[:n])
         kept += walked
-        if small_streak >= 2:
+        if stopped:
             return kept, p.k_hi is None or k + walked - 1 < p.k_hi
         k += count
     return kept, False
@@ -311,6 +357,7 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
     weight = np.empty((cap, rows))
     slot_part: list[int] = []  # part index per slot
     slot_k: list[int] = []     # family member per slot, 0 for a branch
+    part_end: list[int] = []   # per slot, the first slot of the next part
     truncated = np.zeros(rows, dtype=bool)
 
     for i, p in enumerate(m.parts):
@@ -323,22 +370,23 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
             check_jacobian(x[S], c, valid[S])
             slot_part.append(i)
             slot_k.append(0)
-            continue
-        kept, cut = _family_slots(m, d, i, y, y_tol, k_max,
-                                  (x, valid, weight), S)
-        slot_part += [i] * kept
-        slot_k += range(p.k_lo, p.k_lo + kept)
-        if cut:
-            truncated |= True
+        else:
+            kept, cut = _family_slots(m, d, i, y, y_tol, k_max,
+                                      (x, valid, weight), S)
+            slot_part += [i] * kept
+            slot_k += range(p.k_lo, p.k_lo + kept)
+            if cut:
+                truncated |= True
+        part_end += [len(slot_part)] * (len(slot_part) - S)
     S = len(slot_part)
     x, valid, weight = x[:S], valid[:S], weight[:S]
 
     # merge duplicates produced by different parts (shared boundaries);
-    # members of one family are disjoint by the model invariant
+    # members of one family are disjoint by the model invariant, and a
+    # part's slots are contiguous, so slot a meets the slots of the
+    # parts after its own
     for a in range(S):
-        for b in range(a + 1, S):
-            if slot_part[a] == slot_part[b]:
-                continue
+        for b in range(part_end[a], S):
             both = valid[a] & valid[b]
             if not np.any(both):
                 continue
@@ -346,7 +394,7 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
                 1.0 + row_max(np.abs(x[a])))
             dup = both & close
             valid[b] &= ~dup
-            weight[b] = np.where(dup, 0.0, weight[b])
+            weight[b, dup.nonzero()[0]] = 0.0
 
     return CandidateTable(
         x=x, valid=valid, weight=weight,
@@ -357,43 +405,50 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
 
 # --- scalar operations -------------------------------------------------------
 
+def _kept_slots(m: PiecewiseMap, t: CandidateTable):
+    """The slots a one-row table keeps, and their parts as ``PartRef``s."""
+    kept = t.valid[:, 0].nonzero()[0]
+    refs = []
+    for i, k in zip(t.part_of_slot[kept].tolist(), t.k_of_slot[kept].tolist()):
+        p = m.parts[i]
+        refs.append(PartRef(i, p.name, k if isinstance(p, BranchFamily) else None))
+    return kept, refs
+
+
 def preimage(m: PiecewiseMap, d: InputDensity, y, tol: float = DEFAULT_TOL,
              k_max: int = DEFAULT_K_MAX) -> PreimageSet:
     """All preimage candidates of y that survive the region, support and
     map-back checks, with |det J| evaluated on the candidates kept.  An
     empty set is valid: y lies outside the image."""
-    ya = np.asarray(y, dtype=float).reshape(1, -1)
-    t = build_candidates(m, d, ya, tol, k_max)
-    kept = t.valid[:, 0].nonzero()[0]
-    elems = []
-    for i, k, x, jac, weight in zip(
-            t.part_of_slot[kept].tolist(), t.k_of_slot[kept].tolist(),
-            t.x[kept, 0].tolist(), _slots_jac(t, kept)[:, 0].tolist(),
-            t.weight[kept, 0].tolist()):
-        p = m.parts[i]
-        ref = PartRef(i, p.name, k if isinstance(p, BranchFamily) else None)
-        elems.append(PreimageElement(part=ref, x=tuple(x), jac=jac,
-                                     weight=weight))
-    return PreimageSet(tuple(elems), bool(t.truncated[0]))
+    t = build_candidates(m, d, point_row(m, y), tol, k_max)
+    kept, refs = _kept_slots(m, t)
+    elems = tuple(
+        PreimageElement(part=ref, x=tuple(x), jac=jac, weight=weight)
+        for ref, x, jac, weight in zip(
+            refs, t.x[kept, 0].tolist(), _slots_jac(t, kept)[:, 0].tolist(),
+            t.weight[kept, 0].tolist()))
+    return PreimageSet(elems, bool(t.truncated[0]))
 
 
 def output_density(m: PiecewiseMap, d: InputDensity, y,
                    tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX) -> float:
     """f_Y(y) by summing f_X/|det J| over the preimage; 0 off the image."""
-    ya = np.asarray(y, dtype=float).reshape(1, -1)
-    return float(build_candidates(m, d, ya, tol, k_max).f_y[0])
+    return float(build_candidates(m, d, point_row(m, y), tol, k_max).f_y[0])
 
 
 def branch_posterior(m: PiecewiseMap, d: InputDensity, y,
                      tol: float = DEFAULT_TOL,
                      k_max: int = DEFAULT_K_MAX) -> BranchPosterior:
-    """Posterior probability of each subdomain given the output y."""
-    ps = preimage(m, d, y, tol, k_max)
-    total = sum(e.weight for e in ps.elements)
+    """Posterior probability of each subdomain given the output y: the
+    kept slots' weights, read from the one-row table, over their sum."""
+    t = build_candidates(m, d, point_row(m, y), tol, k_max)
+    kept, refs = _kept_slots(m, t)
+    weights = t.weight[kept, 0].tolist()
+    total = sum(weights)
     if total <= 0.0:
         raise ZeroDensityError(np.asarray(y, dtype=float))
     return BranchPosterior(tuple(
-        (e.part.label(), e.weight / total) for e in ps.elements))
+        (ref.label(), w / total) for ref, w in zip(refs, weights)))
 
 
 def posterior_entropy_bits(table: CandidateTable) -> np.ndarray:

@@ -393,6 +393,88 @@ def test_member_blocks_match_one_member_at_a_time(rows, family, k_max):
 
 
 
+def _reference_or_error(m, d, y, k_max, member_block):
+    try:
+        return reference_build_candidates(m, d, y, transform.DEFAULT_TOL,
+                                          k_max, member_block)
+    except SingularJacobianError as err:
+        return err
+
+
+_ONE_ROW_FAMILIES = {
+    # name: (family fields, k_max)
+    "unbounded": ({}, 64),
+    "first_member_invalid": ({"k_range": [0, None]}, 64),
+    "first_members_invalid": ({"k_range": [-3, None]}, 64),
+    "bounded": ({"k_range": [1, 5]}, 64),
+    "valid_members_end": (
+        {"region_of_k": "x1 >= (k - 1)/1.5 and x1 < k/1.5 and k <= 3"}, 64),
+    "k_max_cut": ({}, 3),
+    "singular_member_kept": ({"jac_abs_det": "abs(k - 3)"}, 64),
+    "singular_member_after_the_stop": (
+        {"k_range": [-3, None], "jac_abs_det": "min(1, abs(k - 31))"}, 64),
+}
+
+
+@pytest.mark.parametrize("member_block", [2, 3])
+@pytest.mark.parametrize("y", [0.3, 0.01, -0.05])
+@pytest.mark.parametrize("case", list(_ONE_ROW_FAMILIES))
+def test_one_row_member_blocks_match_the_reference(case, y, member_block):
+    # blocks of 2 and 3 members: the running sum, whether a valid member
+    # was seen and the tiny streak carry over block edges
+    family, k_max = _ONE_ROW_FAMILIES[case]
+    setup = load_config(_sawtooth_doc(**family))
+    m, d = setup.pmap, setup.density
+    yy = np.array([[y]])
+    with patch.object(transform, "_MEMBER_BLOCK", member_block):
+        got = _table_or_error(m, d, yy, k_max)
+    expected = _reference_or_error(m, d, yy, k_max, member_block)
+    _assert_same(got, expected)
+    if case == "singular_member_kept" and y > 0:
+        assert isinstance(expected, SingularJacobianError)  # member k = 3
+        return
+    assert not isinstance(expected, SingularJacobianError)
+    kept = expected.k_of_slot.size
+    if case.startswith("first_member") and y > 0:
+        # members k <= 0 lie outside the support: tiny, but before any
+        # valid member, so they start no streak
+        assert not expected.valid[:expected.k_of_slot.tolist().index(1)].any()
+        assert expected.valid[-3:].all() and kept > 20
+    if case == "first_members_invalid" and y > 0 and member_block == 3:
+        # the two tiny members in a row that stop the walk lie in two
+        # blocks: the second opens its block
+        assert (kept - 1) % member_block == 0
+    if case == "valid_members_end" and y > 0:
+        # members 4 and 5 are invalid and tiny, and a valid member came
+        # before them in an earlier block: the walk stops at member 5
+        assert expected.k_of_slot.tolist() == [1, 2, 3, 4, 5]
+    if case == "singular_member_after_the_stop" and y > 0:
+        # the walk stops at member 30; in blocks of 3 that member opens
+        # the block [30, 32], so the singular member 31 is evaluated and
+        # dropped unchecked
+        assert expected.k_of_slot.max() == 30
+
+
+@pytest.mark.parametrize("members", [1, 3, None])
+@pytest.mark.parametrize("rows", [2, 37, 5000])
+def test_row_zero_tiny_while_a_later_row_is_not(rows, members):
+    # row 0 lies off the image, so every member is tiny there; the stop
+    # rule must test the other rows before it stops.  Blocks of three
+    # members are narrow (fewer rows than members) at 2 rows and wide at
+    # 37 and 5000; the default block is one member wide at 5000 rows.
+    setup = load_config(_sawtooth_doc())
+    m, d = setup.pmap, setup.density
+    y = _query_points(rows)
+    y[0], y[1] = -0.05, 0.3
+    member_block = transform._MEMBER_BLOCK if members is None else members * rows
+    with patch.object(transform, "_MEMBER_BLOCK", member_block):
+        got = _table_or_error(m, d, y, 64)
+    expected = _reference_or_error(m, d, y, 64, member_block)
+    _assert_same(got, expected)
+    assert not expected.valid[:, 0].any() and expected.valid[:, 1].all()
+    assert expected.k_of_slot.size > 20
+
+
 # --- the write-once candidate table ------------------------------------------------
 
 def _reference_slot(m, d, part_index, y, ks, tol):

@@ -12,7 +12,7 @@ from conftest import PRESET_NAMES
 from infoloss.config import load_config
 from infoloss.errors import ZeroDensityError
 from infoloss.loss import loss_eq5_mc
-from infoloss.model import forward_eval
+from infoloss.model import forward_eval, jac_abs_det_at
 from infoloss.numerics import tensor_quadrature
 from infoloss.geometry import Box
 from infoloss.transform import (
@@ -253,3 +253,38 @@ def test_map_back_tolerance_must_be_finite_and_positive(setups, entry, tol):
     s = setups["ex3_exp_sawtooth"]
     with pytest.raises(ValueError, match="finite tol > 0"):
         entry(s.pmap, s.density, tol)
+
+
+SCALAR_QUERIES = {
+    "forward_eval": lambda s, p: forward_eval(s.pmap, p),
+    "jac_abs_det_at": lambda s, p: jac_abs_det_at(s.pmap, p),
+    "preimage": lambda s, p: preimage(s.pmap, s.density, p),
+    "output_density": lambda s, p: output_density(s.pmap, s.density, p),
+    "branch_posterior": lambda s, p: branch_posterior(s.pmap, s.density, p),
+}
+
+
+@pytest.mark.parametrize("name, point", [
+    ("ex3_exp_sawtooth", [0.1, 0.2]),
+    ("ex3_exp_sawtooth", [[0.1], [0.2]]),
+    ("ex3_exp_sawtooth", []),
+    ("ex6_m1", [0.5, 0.25, 0.125]),
+    ("ex6_m1", [0.5]),
+    ("ex6_m1", []),
+], ids=["1d_two_coordinates", "1d_column_of_two", "1d_empty",
+        "2d_three_coordinates", "2d_one_coordinate", "2d_empty"])
+@pytest.mark.parametrize("op", list(SCALAR_QUERIES))
+def test_scalar_queries_need_a_point_of_dim_coordinates(setups, op, name, point):
+    # a point of another length used to be cut, padded into an unbound
+    # variable or an IndexError; every scalar query refuses it alike
+    s = setups[name]
+    with pytest.raises(ValueError, match=f"dim = {s.pmap.dim} coordinates"):
+        SCALAR_QUERIES[op](s, point)
+
+
+@pytest.mark.parametrize("op", list(SCALAR_QUERIES))
+def test_scalar_queries_take_dim_coordinates_in_any_shape(setups, op):
+    s = setups["ex3_exp_sawtooth"]
+    results = [repr(SCALAR_QUERIES[op](s, p))
+               for p in (0.3, [0.3], [[0.3]], np.array([0.3]))]
+    assert len(set(results)) == 1
