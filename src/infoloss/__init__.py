@@ -39,7 +39,6 @@ from .errors import (
     ZeroDensityError,
 )
 from .exprlang import (
-    EvalError,
     Expr,
     ExprSyntaxError,
     UnboundVariableError,

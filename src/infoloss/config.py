@@ -229,8 +229,8 @@ def _part(obj, dim: int, idx: int):
     if ptype == "family":
         kr = obj.get("k_range")
         if (not isinstance(kr, list) or len(kr) != 2
-                or not isinstance(kr[0], int)
-                or not (kr[1] is None or isinstance(kr[1], int))):
+                or type(kr[0]) is not int
+                or not (kr[1] is None or type(kr[1]) is int)):
             raise _fail(f"{where}.k_range", "expected [k_lo, k_hi] with "
                         "integer k_lo and integer-or-null k_hi")
         k_lo, k_hi = kr
@@ -285,7 +285,7 @@ def load_config(doc: dict, name_hint: str = "") -> ModelSetup:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a bool is no dim
         raise _fail("dim", "must be a positive integer")
     # parts first: their bboxes pin dim before a default support is built
     parts_obj = doc.get("parts")

@@ -5,13 +5,11 @@ Expressions are plain text like ``"abs(x1 - x2)"`` or
 :func:`compile_expr` turns an AST once into closures over a binding
 dict that evaluate it with numpy's IEEE rules; the model compiles each
 of its expressions when it is built and evaluates only through those
-closures.  ``eval_array`` evaluates on array bindings, where domain
-violations yield NaN/inf so callers can mask them out; ``evaluate``
-evaluates a scalar binding in strict mode, a compile-time variant of
-the same closures in which the declared singularities (division by
-zero, sqrt of a negative, log of a non-positive, a negative base to a
-fractional power, zero to a negative power) raise :class:`EvalError`
-instead.
+closures.  ``eval_array`` evaluates on array bindings and
+``evaluate`` on a scalar binding, by the same closures: a domain
+violation (division by zero, sqrt of a negative, log of a non-positive,
+a negative base to a fractional power) yields NaN or inf for the caller
+to mask, on arrays and scalars alike.
 
 Grammar, loosest to tightest binding:
 
@@ -47,7 +45,6 @@ __all__ = [
     "Binary",
     "ExprSyntaxError",
     "UnknownFunctionError",
-    "EvalError",
     "UnboundVariableError",
     "parse",
     "evaluate",
@@ -85,15 +82,6 @@ class UnknownFunctionError(ExprSyntaxError):
         self.name = name
         super().__init__(offset, f"unknown function '{name}'",
                          UNARY_FUNCTIONS + BINARY_FUNCTIONS)
-
-
-class EvalError(ArithmeticError):
-    """Evaluation hit a declared singularity (strict scalar mode only)."""
-
-    def __init__(self, kind: str, location: str):
-        self.kind = kind          # div_zero | log_nonpos | sqrt_neg | pow_domain
-        self.location = location  # offending subexpression, printed
-        super().__init__(f"{kind} in {location}")
 
 
 class UnboundVariableError(KeyError):
@@ -517,23 +505,13 @@ def _logic(op: str, ta: _Code, tb: _Code) -> _Code:
                  _astype_float)
 
 
-def _unary(e: Unary, a: _Code, strict: bool) -> _Code:
-    f, run = _UNARY_NP[e.op], a.run
-    if strict and e.op in ("sqrt", "ln", "log2"):
-        op = e.op
-
-        def checked(b):
-            v = run(b)
-            if kind := _singular(op, v):
-                raise EvalError(kind, to_string(e))
-            return f(v)
-        return _Code(checked)
+def _unary(op: str, a: _Code) -> _Code:
+    f, run = _UNARY_NP[op], a.run
     return _Code(lambda b: f(run(b)))
 
 
-def _binary(e: Binary, a: _Code, c: _Code, strict: bool) -> _Code:
+def _binary(op: str, a: _Code, c: _Code) -> _Code:
     """Arithmetic, a two-argument function or a comparison of numbers."""
-    op = e.op
     compare = op in _COMPARE_NP
     f = _COMPARE_NP[op] if compare else _BINARY_NP[op]
     typed = (True, _VARYING, _astype_float) if compare else ()
@@ -541,13 +519,6 @@ def _binary(e: Binary, a: _Code, c: _Code, strict: bool) -> _Code:
     ka, kc = a.const, c.const
     if op == "^" and kc is not _VARYING and kc == 2.0:
         return _Code(lambda b: _square(ra(b)))
-    if strict and op in ("/", "^"):
-        def checked(b):
-            va, vc = ra(b), rc(b)
-            if kind := _singular(op, va, vc):
-                raise EvalError(kind, to_string(e))
-            return f(va, vc)
-        return _Code(checked)
     if kc is not _VARYING:
         return _Code(lambda b: f(ra(b), kc), *typed)
     if ka is not _VARYING:
@@ -555,11 +526,9 @@ def _binary(e: Binary, a: _Code, c: _Code, strict: bool) -> _Code:
     return _Code(lambda b: f(ra(b), rc(b)), *typed)
 
 
-def _compile(e: Expr, strict: bool) -> _Code:
+def _compile(e: Expr) -> _Code:
     """The code of ``e``; a node whose operands are all constant is run
-    once here, with the ufunc the node runs, and becomes a constant.  In
-    strict mode a constant node that hits a singularity stays a node, so
-    it raises where the evaluation order reaches it."""
+    once here, with the ufunc the node runs, and becomes a constant."""
     if isinstance(e, Num):
         return _constant(e.value)
     if isinstance(e, Const):
@@ -567,48 +536,42 @@ def _compile(e: Expr, strict: bool) -> _Code:
     if isinstance(e, Var):
         return _var(e.name)
     if isinstance(e, Unary):
-        operands = (_compile(e.a, strict),)
+        operands = (_compile(e.a),)
         if e.op == "not":
             code = _not(_truth(operands[0]))
         else:
-            code = _unary(e, _num(operands[0]), strict)
+            code = _unary(e.op, _num(operands[0]))
     elif isinstance(e, Binary):
-        operands = (_compile(e.a, strict), _compile(e.b, strict))
+        operands = (_compile(e.a), _compile(e.b))
         if e.op in ("and", "or"):
             code = _logic(e.op, *map(_truth, operands))
         else:
-            code = _binary(e, *map(_num, operands), strict)
+            code = _binary(e.op, *map(_num, operands))
     else:
         raise TypeError(f"not an Expr: {e!r}")
     if any(c.const is _VARYING for c in operands):
         return code
-    try:
-        value = code.run({})
-    except EvalError:
-        return code
-    return _constant(value, code.boolean, code.to_float)
+    return _constant(code.run({}), code.boolean, code.to_float)
 
 
 class Compiled(NamedTuple):
     """An expression compiled once into closures over a binding dict.
 
     ``value(binding)`` evaluates as :func:`eval_array` does, predicates
-    as 1.0 / 0.0; compiled ``strict`` it raises at the declared
-    singularities as :func:`evaluate` does.  ``test(binding)`` is the
-    truth of the value as numpy bools, ``value != 0.0`` without the
-    float round trip.  ``constant`` is the folded value of an expression
-    without variables, else None.  The closures run under the caller's
-    ``np.errstate``."""
+    as 1.0 / 0.0.  ``test(binding)`` is the truth of the value as numpy
+    bools, ``value != 0.0`` without the float round trip.  ``constant``
+    is the folded value of an expression without variables, else None.
+    The closures run under the caller's ``np.errstate``."""
 
     value: Callable
     test: Callable
     constant: object
 
 
-def compile_expr(e: Expr, strict: bool = False) -> Compiled:
+def compile_expr(e: Expr) -> Compiled:
     """Compile ``e`` into typed closures (see :class:`Compiled`)."""
     with np.errstate(all="ignore"):
-        code = _compile(e, strict)
+        code = _compile(e)
         num = _num(code)
     value = num.run
     if isinstance(num.const, np.ndarray):
@@ -619,12 +582,10 @@ def compile_expr(e: Expr, strict: bool = False) -> Compiled:
 
 
 def evaluate(e: Expr, binding: dict[str, float]) -> float:
-    """Evaluate on a scalar binding in strict mode: the rules of
-    :func:`eval_array`, except that the declared singularities (see the
-    module docstring) raise :class:`EvalError`, checked at each node's
-    operands in post-order, left operand first.  Missing variables
-    raise :class:`UnboundVariableError`."""
-    value = compile_expr(e, strict=True).value
+    """:func:`eval_array` on a binding of floats, as one float: a domain
+    violation gives NaN or inf.  Missing variables raise
+    :class:`UnboundVariableError`."""
+    value = compile_expr(e).value
     with np.errstate(all="ignore"):
         return float(value({k: float(v) for k, v in binding.items()}))
 
@@ -643,15 +604,3 @@ def eval_array(e: Expr, binding: dict[str, np.ndarray | float]):
     with np.errstate(all="ignore"):
         return value(binding)
 
-
-def _singular(op: str, a, b=None) -> str | None:
-    """The declared singularity that ``op`` hits at scalar operands, if any."""
-    if op == "sqrt" and a < 0.0:
-        return "sqrt_neg"
-    if op in ("ln", "log2") and a <= 0.0:
-        return "log_nonpos"
-    if (op == "/" and b == 0.0) or (op == "^" and a == 0.0 and b < 0.0):
-        return "div_zero"
-    if op == "^" and a < 0.0 and b != np.floor(b):
-        return "pow_domain"
-    return None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprlang import Compiled, Expr, compile_expr
-from .numerics import row_all
+from .numerics import point_row, row_all
 
 __all__ = ["Box", "Region", "box_volume"]
 
@@ -65,7 +65,7 @@ class Region:
         object.__setattr__(self, "compiled", compile_expr(self.predicate))
 
     def contains(self, x) -> bool:
-        return bool(self.contains_batch(np.reshape(x, (1, -1)))[0])
+        return bool(self.contains_batch(point_row(x, self.bbox.dim))[0])
 
     def contains_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -39,6 +39,7 @@ from .numerics import (
     exponential_sample,
     gaussian_iid_sample,
     make_generator,
+    point_row,
     rejection_sample,
     row_max,
     row_prod,
@@ -329,19 +330,8 @@ class PiecewiseMap:
 
 # --- spec-level scalar operations ----------------------------------------------
 
-def point_row(m: PiecewiseMap, point) -> np.ndarray:
-    """The point of a scalar query as one (1, ``m.dim``) row of floats.
-    A point must have exactly ``m.dim`` coordinates, whatever its shape:
-    any other count raises ValueError."""
-    a = np.asarray(point, dtype=float)
-    if a.size != m.dim:
-        raise ValueError(f"need a point of dim = {m.dim} coordinates, "
-                         f"got {a.size} in shape {a.shape}")
-    return a.reshape(1, -1)
-
-
 def forward_eval(m: PiecewiseMap, x) -> np.ndarray:
-    xa = point_row(m, x)
+    xa = point_row(x, m.dim)
     return m.forward_batch(xa, *m.dispatch_batch(xa))[0]
 
 
@@ -349,7 +339,7 @@ def jac_abs_det_at(m: PiecewiseMap, x) -> float:
     """|det J| at x as ``jac_batch`` computes it (the part's expression,
     else central differences); a singular value raises
     :class:`SingularJacobianError`."""
-    xa = point_row(m, x)
+    xa = point_row(x, m.dim)
     jac = m.jac_batch(xa, *m.dispatch_batch(xa))
     check_jacobian(xa, jac)
     return float(jac[0])
@@ -442,7 +432,7 @@ class InputDensity:
             return vals
 
     def pdf(self, x) -> float:
-        return float(self.pdf_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        return float(self.pdf_batch(point_row(x, self.dim))[0])
 
     # -- sampling ---------------------------------------------------------
 

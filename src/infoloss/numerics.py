@@ -144,6 +144,17 @@ def row_prod(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def point_row(point, dim: int) -> np.ndarray:
+    """The point of a scalar query as one (1, ``dim``) row of floats.
+    A point must have exactly ``dim`` coordinates, whatever its shape:
+    any other count raises ValueError."""
+    a = np.asarray(point, dtype=float)
+    if a.size != dim:
+        raise ValueError(f"need a point of dim = {dim} coordinates, "
+                         f"got {a.size} in shape {a.shape}")
+    return a.reshape(1, -1)
+
+
 def take_rows(a: np.ndarray, idx: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``idx`` of the (m, N) array ``a`` as a column-contiguous
@@ -323,21 +334,17 @@ def tensor_quadrature(box, f: Callable[[np.ndarray], np.ndarray],
     cell = float(np.prod(h))
     axes = [lo[d] + (np.arange(nodes_per_dim) + 0.5) * h[d] for d in range(dim)]
 
-    row_chunk = 1 << 16  # grid points per call of f, to bound memory
+    # evaluate blocks of whole grid rows, at most 2^16 points each, to
+    # bound memory; a 1-D grid is rows of one point
+    width = nodes_per_dim if dim == 2 else 1
+    rows_per_block = max(1, (1 << 16) // width)
     partials: list[float] = []
-    if dim == 1:
-        pts = axes[0][:, None]
-        for start in range(0, pts.shape[0], row_chunk):
-            vals = np.asarray(f(pts[start:start + row_chunk]), dtype=float)
-            partials.append(float(np.sum(vals)))
-    else:
-        # evaluate row blocks of the 2-D grid to bound memory
-        rows_per_block = max(1, row_chunk // nodes_per_dim)
-        for r0 in range(0, nodes_per_dim, rows_per_block):
-            a = axes[0][r0:r0 + rows_per_block]
-            pts = np.empty((a.size * nodes_per_dim, 2), order="F")
-            pts[:, 0] = np.repeat(a, nodes_per_dim)
+    for r0 in range(0, nodes_per_dim, rows_per_block):
+        a = axes[0][r0:r0 + rows_per_block]
+        pts = np.empty((a.size * width, dim), order="F")
+        pts[:, 0] = np.repeat(a, width)
+        if dim == 2:
             pts[:, 1] = np.tile(axes[1], a.size)
-            vals = np.asarray(f(pts), dtype=float)
-            partials.append(float(np.sum(vals)))
+        vals = np.asarray(f(pts), dtype=float)
+        partials.append(float(np.sum(vals)))
     return math.fsum(partials) * cell

@@ -72,9 +72,8 @@ from .model import (
     PiecewiseMap,
     bind_columns,
     check_jacobian,
-    point_row,
 )
-from .numerics import column_tiles, row_all, row_max
+from .numerics import column_tiles, point_row, row_all, row_max
 
 __all__ = [
     "PreimageElement",
@@ -420,7 +419,7 @@ def preimage(m: PiecewiseMap, d: InputDensity, y, tol: float = DEFAULT_TOL,
     """All preimage candidates of y that survive the region, support and
     map-back checks, with |det J| evaluated on the candidates kept.  An
     empty set is valid: y lies outside the image."""
-    t = build_candidates(m, d, point_row(m, y), tol, k_max)
+    t = build_candidates(m, d, point_row(y, m.dim), tol, k_max)
     kept, refs = _kept_slots(m, t)
     elems = tuple(
         PreimageElement(part=ref, x=tuple(x), jac=jac, weight=weight)
@@ -433,7 +432,7 @@ def preimage(m: PiecewiseMap, d: InputDensity, y, tol: float = DEFAULT_TOL,
 def output_density(m: PiecewiseMap, d: InputDensity, y,
                    tol: float = DEFAULT_TOL, k_max: int = DEFAULT_K_MAX) -> float:
     """f_Y(y) by summing f_X/|det J| over the preimage; 0 off the image."""
-    return float(build_candidates(m, d, point_row(m, y), tol, k_max).f_y[0])
+    return float(build_candidates(m, d, point_row(y, m.dim), tol, k_max).f_y[0])
 
 
 def branch_posterior(m: PiecewiseMap, d: InputDensity, y,
@@ -441,7 +440,7 @@ def branch_posterior(m: PiecewiseMap, d: InputDensity, y,
                      k_max: int = DEFAULT_K_MAX) -> BranchPosterior:
     """Posterior probability of each subdomain given the output y: the
     kept slots' weights, read from the one-row table, over their sum."""
-    t = build_candidates(m, d, point_row(m, y), tol, k_max)
+    t = build_candidates(m, d, point_row(y, m.dim), tol, k_max)
     kept, refs = _kept_slots(m, t)
     weights = t.weight[kept, 0].tolist()
     total = sum(weights)

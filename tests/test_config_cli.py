@@ -59,6 +59,9 @@ def test_triangle_builder_matches_shipped_preset():
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d.pop("dim"), "dim"),
     (lambda d: d.update(dim=0), "dim"),
+    (lambda d: d.update(dim=True), "dim: must be a positive integer"),
+    (lambda d: d["parts"][0].update(type="family", k_range=[True, None]),
+     "parts[0].k_range"),
     (lambda d: d.update(parts=[]), "parts"),
     (lambda d: d["parts"][0].update(forward=["x1 +"]), "offset"),
     (lambda d: d["parts"][0].update(forward=["sinh(x1)"]), "unknown function"),

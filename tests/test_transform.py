@@ -261,6 +261,8 @@ SCALAR_QUERIES = {
     "preimage": lambda s, p: preimage(s.pmap, s.density, p),
     "output_density": lambda s, p: output_density(s.pmap, s.density, p),
     "branch_posterior": lambda s, p: branch_posterior(s.pmap, s.density, p),
+    "density_pdf": lambda s, p: s.density.pdf(p),
+    "region_contains": lambda s, p: s.density.support.contains(p),
 }
 
 
