@@ -34,9 +34,10 @@ class Classification:
     verdict: str                 # Finite | Infinite | Unknown
     reason: str                  # none | discrete_atom | rank_deficient_mass | mixed_limiter
     evidence: tuple[dict, ...]   # per non-bijective part: name, kind, mass, stderr
-    # the sample summary of ``_part_masses`` that the verdict was read
-    # from, which ``atom_scan`` reads instead of drawing it again
-    _sample: tuple | None = field(default=None, compare=False, repr=False)
+    # the output atoms (point, mass) of the sample the verdict was read
+    # from, which ``atom_scan`` returns; not part of the verdict
+    atoms: tuple[tuple[tuple[float, ...], float], ...] = field(
+        default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "reason": self.reason,
@@ -44,18 +45,30 @@ class Classification:
 
 
 def _part_masses(m: PiecewiseMap, d: InputDensity, n: int, seed: int):
-    """(part, mass, stderr) per part, from one sample of n points, and the
-    sample rows (x, k) of every positive-mass constant_point part."""
+    """(part, mass, stderr) per part from one sample of n points, and the
+    output atoms of that sample: per positive-mass constant_point part,
+    the output of its first sampled row with the part's mass, points
+    within ``DEFAULT_TOL`` clustered, sorted by point."""
     x = d.sample(n, seed)
-    masses, atom_rows = [], {}
+    masses, atoms = [], []
     for i, (p, (mask, k)) in enumerate(zip(m.parts, m.membership_masks(x))):
         cnt = int(np.count_nonzero(mask))
         mass = cnt / n
         stderr = math.sqrt(max(mass * (1 - mass), 0.0) / n)
         masses.append((p, mass, stderr))
-        if p.kind == "constant_point" and mass != 0.0:
-            atom_rows[i] = (x[mask], k[mask])
-    return masses, atom_rows
+        if p.kind != "constant_point" or mass == 0.0:
+            continue
+        r = int(np.argmax(mask))
+        y_star = m.forward_batch(x[r:r + 1], np.array([i]), k[r:r + 1])[0]
+        for j, (y0, m0) in enumerate(atoms):
+            if np.max(np.abs(y0 - y_star)) <= DEFAULT_TOL * (1.0 + np.max(np.abs(y0))):
+                atoms[j] = (y0, m0 + mass)
+                break
+        else:
+            atoms.append((y_star, mass))
+    out = [(tuple(float(v) for v in y), float(mass)) for y, mass in atoms]
+    out.sort(key=lambda item: item[0])
+    return masses, tuple(out)
 
 
 def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
@@ -64,14 +77,15 @@ def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
 
     Any non-bijective part with mass clearly above sampling noise forces
     the Infinite verdict; all masses clearly at zero give Finite; the
-    (practically unreachable) borderline gives Unknown.
+    (practically unreachable) borderline gives Unknown.  The output
+    atoms of the same sample come with the verdict.
     """
-    sample = _part_masses(m, d, n, seed)  # (masses, atom_rows)
+    masses, atoms = _part_masses(m, d, n, seed)
     evidence = []
     infinite_kinds = []
     borderline = False
     bijective_mass = 0.0
-    for p, mass, stderr in sample[0]:
+    for p, mass, stderr in masses:
         if p.kind == "bijective":
             bijective_mass += mass
             continue
@@ -82,17 +96,16 @@ def classify(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
         elif not (mass == 0.0 or mass < 3 * stderr):
             borderline = True
 
+    verdict, reason = "Unknown" if borderline else "Finite", "none"
     if infinite_kinds:
+        verdict = "Infinite"
         if bijective_mass > 0.0:
             reason = "mixed_limiter"
         elif "constant_point" in infinite_kinds:
             reason = "discrete_atom"
         else:
             reason = "rank_deficient_mass"
-        return Classification("Infinite", reason, tuple(evidence), sample)
-    if borderline:
-        return Classification("Unknown", "none", tuple(evidence), sample)
-    return Classification("Finite", "none", tuple(evidence), sample)
+    return Classification(verdict, reason, tuple(evidence), atoms)
 
 
 def atom_scan(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
@@ -103,28 +116,9 @@ def atom_scan(m: PiecewiseMap, d: InputDensity, n: int = 100_000,
     constant_point part, with its estimated probability mass.  Parts
     mapping to the same point (within ``DEFAULT_TOL``) are clustered.
 
-    Given the ``classify(m, d, n, seed)`` result, the scan reads the
-    sample that verdict was read from instead of drawing it again; a
-    classification without its sample (built from its fields alone)
-    draws it."""
-    if classification is not None and classification._sample is not None:
-        masses, atom_rows = classification._sample
-    else:
-        masses, atom_rows = _part_masses(m, d, n, seed)
-    atoms: list[tuple[np.ndarray, float]] = []
-    for i, (xb, kb) in atom_rows.items():
-        mass = masses[i][1]
-        part_idx = np.full(xb.shape[0], i, dtype=np.int64)
-        ys = m.forward_batch(xb, part_idx, kb)
-        y_star = ys[0]
-        merged = False
-        for j, (y0, m0) in enumerate(atoms):
-            if np.max(np.abs(y0 - y_star)) <= DEFAULT_TOL * (1.0 + np.max(np.abs(y0))):
-                atoms[j] = (y0, m0 + mass)
-                merged = True
-                break
-        if not merged:
-            atoms.append((y_star, mass))
-    out = [(tuple(float(v) for v in y), float(mass)) for y, mass in atoms]
-    out.sort(key=lambda item: item[0])
-    return out
+    These are the atoms of ``classification``, the ``classify(m, d, n,
+    seed)`` result, when it is given; else of ``classify(m, d, n,
+    seed)``."""
+    if classification is None:
+        classification = classify(m, d, n, seed)
+    return list(classification.atoms)

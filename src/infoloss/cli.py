@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import loss as loss_mod
-from .bounds import BoundsReport, bounds_report
+from .bounds import bounds_report
 from .classify import atom_scan, classify
 from .config import (
     ModelSetup,
@@ -197,8 +197,7 @@ def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
         losses["corollary1"] = est["corollary1"].to_dict()
         losses["branch_posterior"] = est["branch_posterior"].to_dict()
         out["loss"] = losses
-        out["bounds"] = BoundsReport.from_tally(m, est["bounds"], n,
-                                                seed).to_dict()
+        out["bounds"] = est["bounds"].to_dict()
         out["sweep"] = est["sweep"].to_dict()
     out["warnings"] = warnings
     if timing:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import exprlang, loss
@@ -58,7 +58,6 @@ class ModelSetup:
     density: InputDensity
     analysis: AnalysisParams
     digest: str
-    raw: dict = field(repr=False)
 
 
 def _fail(where: str, msg: str) -> ConfigError:
@@ -170,7 +169,11 @@ def _density(obj, dim: int) -> InputDensity:
         v = _real(params.get(key, 1.0), f"density.params.{key}")
         if v <= 0 and key != "mu":
             raise _fail(f"density.params.{key}", "must be positive")
-    support_obj = obj.get("support") or _default_support(form, params, dim)
+    support_obj = obj.get("support")
+    if support_obj is None:
+        support_obj = _default_support(form, params, dim)
+    elif not isinstance(support_obj, dict):
+        raise _fail("density.support", "expected an object")
     support = _region(support_obj, dim, "density.support")
 
     pdf_expr = None
@@ -301,8 +304,10 @@ def load_config(doc: dict, name_hint: str = "") -> ModelSetup:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     name = doc.get("name", name_hint or "model")
+    if not isinstance(name, str):
+        raise _fail("name", f"expected a string, got {type(name).__name__}")
     return ModelSetup(name=name, pmap=pmap, density=density,
-                      analysis=analysis, digest=digest, raw=doc)
+                      analysis=analysis, digest=digest)
 
 
 def load_config_file(path) -> ModelSetup:

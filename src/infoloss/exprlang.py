@@ -347,8 +347,6 @@ def to_string(e: Expr) -> str:
     if isinstance(e, Binary):
         if e.op in BINARY_FUNCTIONS:
             return f"{e.op}({to_string(e.a)}, {to_string(e.b)})"
-        if e.op in ("and", "or"):
-            return f"({to_string(e.a)} {e.op} {to_string(e.b)})"
         return f"({to_string(e.a)} {e.op} {to_string(e.b)})"
     raise TypeError(f"not an Expr: {e!r}")
 

@@ -36,7 +36,8 @@ of every route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
@@ -62,7 +63,7 @@ from .transform import DEFAULT_TOL, build_candidates, posterior_entropy_bits
 __all__ = [
     "LossReport",
     "PartitionSweep",
-    "CardinalityTally",
+    "BoundsReport",
     "ESTIMATORS",
     "MAX_DEPTH_BITS",
     "estimate",
@@ -131,6 +132,25 @@ class PartitionSweep:
                 "losses_bits": list(self.losses_bits),
                 "stderrs_bits": list(self.stderrs_bits),
                 "n_samples": self.n_samples, "seed": self.seed}
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """The upper bounds on the loss and H(W), with their stderrs; see
+    the bounds module."""
+
+    e_log_card_bits: float     # E[log2 |preimage|]
+    log_e_card_bits: float     # log2 E[|preimage|]
+    max_log_card_bits: float   # log2 max sampled |preimage|
+    h_W_bits: float            # plug-in entropy of the subdomain index
+    stderrs: dict
+    infinite_flags: dict
+    branch_masses: dict
+    n_samples: int
+    seed: int
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _gate(m: PiecewiseMap, d: InputDensity, seed: int,
@@ -371,16 +391,36 @@ def _merge_counts(per_chunk) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class CardinalityTally:
-    """What the bounds read from the sample: log2 and plain preimage
-    cardinality, its largest value, and the subdomain-code counts."""
+def _plugin_entropy(counts: dict[int, int], n: int) -> tuple[float, float]:
+    p = np.array([c / n for c in counts.values()])
+    logp = np.log2(p)
+    h = float(-(p * logp).sum())
+    # delta method: Var(H_hat) ~ Var(-log2 p(W)) / n, taken about its
+    # mean h: E[x**2] - h**2 cancels when the index is nearly certain
+    dev = logp + h
+    var = float((p * dev * dev).sum())
+    return h, math.sqrt(var / n)
 
-    log_card: MCResult
-    card: MCResult
-    max_card: int
-    code_counts: dict
-    truncated: bool
+
+def _bounds_report(m: PiecewiseMap, per_chunk, n: int, seed: int,
+                   truncated: bool) -> BoundsReport:
+    logs, cards, maxes, per_chunk_counts = zip(*per_chunk)
+    e_log, e_card = merge_moments(logs), merge_moments(cards)
+    counts = _merge_counts(per_chunk_counts)
+    h_w, h_w_stderr = _plugin_entropy(counts, n)
+    return BoundsReport(
+        e_log_card_bits=e_log.mean,
+        log_e_card_bits=math.log2(e_card.mean),
+        max_log_card_bits=math.log2(max(maxes)),
+        h_W_bits=h_w,
+        stderrs={"e_log_card": e_log.stderr,
+                 "log_e_card": e_card.stderr / (e_card.mean * math.log(2)),
+                 "max_log_card": 0.0, "h_W": h_w_stderr},
+        infinite_flags={"e_log_card": truncated, "log_e_card": truncated,
+                        "max_log_card": truncated, "h_W": False},
+        branch_masses={m.code_label(code): counts[code] / n
+                       for code in sorted(counts)},
+        n_samples=n, seed=seed)
 
 
 def _corollary1_report(d: InputDensity, per_chunk, n: int, seed: int,
@@ -412,7 +452,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
 
     ``estimators`` names any of ``ESTIMATORS``.  The loss routes come
     back as :class:`LossReport`, ``"bounds"`` as a
-    :class:`CardinalityTally` and ``"sweep"`` as a
+    :class:`BoundsReport` and ``"sweep"`` as a
     :class:`PartitionSweep` over the first ``sweep_n`` samples (default
     ``n``) at ``depths``.  Chunk c is a pure function of
     ``derived_seed(seed, c)``, so each chunk is built once and every
@@ -449,10 +489,7 @@ def estimate(m: PiecewiseMap, d: InputDensity, n: int, seed: int,
         res["corollary1"] = _corollary1_report(d, out["corollary1"], n, seed,
                                                truncated, excluded)
     if "bounds" in out:
-        logs, cards, maxes, counts = zip(*out["bounds"])
-        res["bounds"] = CardinalityTally(merge_moments(logs),
-                                         merge_moments(cards), max(maxes),
-                                         _merge_counts(counts), truncated)
+        res["bounds"] = _bounds_report(m, out["bounds"], n, seed, truncated)
     if "sweep" in out:
         results = [merge_moments(col) for col in zip(*out["sweep"])]
         res["sweep"] = PartitionSweep(depths,

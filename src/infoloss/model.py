@@ -523,9 +523,8 @@ class ValidationReport:
         }
 
 
-def _family_checks(m: PiecewiseMap, fam_index: int, fam: BranchFamily,
-                   x: np.ndarray, k: np.ndarray, report: dict,
-                   failures: list[str]) -> None:
+def _family_checks(fam: BranchFamily, x: np.ndarray, k: np.ndarray,
+                   report: dict, failures: list[str]) -> None:
     # index_of must name a member that actually contains the point
     region = fam.code.region
     inside = region.test(bind_columns(x, k))
@@ -647,7 +646,7 @@ def validate(m: PiecewiseMap, d: InputDensity, n_probe: int = DEFAULT_N_PROBE,
                 failures.append(f"{p.name}: declared rank_deficient but the "
                                 f"Jacobian is full rank on {1 - frac:.1%} of samples")
         if isinstance(p, BranchFamily):
-            _family_checks(m, i, p, xb, kb, rep, failures)
+            _family_checks(p, xb, kb, rep, failures)
         part_reports.append(rep)
 
     # pdf checks: nonnegative on support samples, normalized on the bbox

@@ -183,12 +183,13 @@ def column_tiles(width: int, tile: int = TILE_COLUMNS) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def chunk_plan(n: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
-    """(chunk index, chunk length) pairs covering ``n`` samples."""
+def chunk_plan(n: int) -> list[tuple[int, int]]:
+    """(chunk index, chunk length) pairs covering ``n`` samples, in
+    chunks of ``CHUNK_SIZE``."""
     if n < 1:
         raise ValueError("need n >= 1")
-    full, rem = divmod(n, chunk_size)
-    plan = [(c, chunk_size) for c in range(full)]
+    full, rem = divmod(n, CHUNK_SIZE)
+    plan = [(c, CHUNK_SIZE) for c in range(full)]
     if rem:
         plan.append((full, rem))
     return plan

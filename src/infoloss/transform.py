@@ -40,9 +40,11 @@ merge writes to them.  The candidate points are stored coordinate-major,
 an (N, S, m) buffer read through its (S, m, N) transpose, so each
 coordinate of a slot, or of a family's member block (whose member-major
 reshape stays a view), is one contiguous column.  A slot's weight is
-f_X divided by |det J| as ``part_jac`` returns it; the build keeps no
-|det J| buffer, and the rows a slot does not keep are zeroed by one
-indexed write.
+f_X divided by |det J| as ``part_jac`` returns it, and the rows a slot
+does not keep are zeroed by one indexed write.  The table keeps that
+|det J| per slot: one number where it is constant, else the slot's row
+of the values.  Its ``jac`` and ``preimage`` read them, so |det J| is
+evaluated once per build.
 
 Everything here is built on one vectorized candidate table so the Monte
 Carlo and quadrature engines share the exact code path of the scalar
@@ -125,11 +127,12 @@ class CandidateTable:
     the table's capacity; after ``build_candidates`` has written the
     slots, only its duplicate merge writes to them.
 
-    ``jac``, |det J| per slot and row with 1 where the slot is not
-    valid (a row the duplicate merge dropped included), is not stored:
-    it is computed from ``pmap.part_jac`` on first read.  No estimator
-    reads it, and ``preimage`` evaluates |det J| on the elements it
-    keeps.
+    ``jac_of_slot`` holds |det J| per slot as the build's ``part_jac``
+    call returned it: one float where it is constant over the slot's
+    rows, else the slot's row of values (a view of its member block's).
+    ``jac``, |det J| per slot and row with 1 where the slot is not valid
+    (a row the duplicate merge dropped included), is assembled from it
+    on first read.  No estimator reads it.
     """
 
     x: np.ndarray          # (S, m, N), a view of an (N, S, m) buffer
@@ -139,7 +142,7 @@ class CandidateTable:
     k_of_slot: np.ndarray  # (S,) int64
     f_y: np.ndarray        # (m,)
     truncated: np.ndarray  # (m,) bool
-    pmap: PiecewiseMap = field(repr=False, compare=False)
+    jac_of_slot: list = field(repr=False, compare=False)
 
     @property
     def cardinality(self) -> np.ndarray:
@@ -147,29 +150,10 @@ class CandidateTable:
 
     @cached_property
     def jac(self) -> np.ndarray:
-        slots = np.arange(self.weight.shape[0])
-        return np.where(self.valid, _slots_jac(self, slots), 1.0)
-
-
-def _slots_jac(t: CandidateTable, slots: np.ndarray) -> np.ndarray:
-    """|det J| at the candidates of the table rows ``slots``, one row of
-    values per slot, from one ``part_jac`` call per part over its slots'
-    candidates, member-major with ``k`` bound per row as the build binds
-    a member block.  No singularity check: the rows a slot does not keep
-    are evaluated too."""
-    rows, dim = t.x.shape[1], t.x.shape[2]
-    out = np.empty((slots.size, rows))
-    parts = t.part_of_slot[slots]
-    with np.errstate(all="ignore"):
-        for i in dict.fromkeys(parts.tolist()):
-            sel = (parts == i).nonzero()[0]
-            x = t.x[slots[sel]].reshape(-1, dim)
-            k = None
-            if isinstance(t.pmap.parts[i], BranchFamily):
-                k = np.repeat(t.k_of_slot[slots[sel]].astype(float), rows)
-            c = t.pmap.part_jac(i, x, k)
-            out[sel] = c if np.ndim(c) == 0 else c.reshape(sel.size, rows)
-    return out
+        out = np.empty(self.weight.shape)
+        for s, c in enumerate(self.jac_of_slot):
+            out[s] = c
+        return np.where(self.valid, out, 1.0)
 
 
 def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
@@ -276,9 +260,11 @@ def _tail_stop(weight: np.ndarray, valid: np.ndarray, sums: np.ndarray,
 
 def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
                   y: np.ndarray, y_tol: np.ndarray, k_max: int,
-                  table: tuple[np.ndarray, ...], pos: int) -> tuple[int, bool]:
+                  table: tuple[np.ndarray, ...], pos: int,
+                  jac_of_slot: list) -> tuple[int, bool]:
     """Write members k_lo, k_lo + 1, ... of one family into the rows
-    ``pos``, ``pos + 1``, ... of ``table`` = (x, valid, weight).
+    ``pos``, ``pos + 1``, ... of ``table`` = (x, valid, weight), and
+    their |det J| onto ``jac_of_slot``.
     Returns how many members are kept and whether the enumeration
     stopped before the member range ended.  Members are evaluated in
     blocks of ``_MEMBER_BLOCK // rows``; ``_tail_stop`` then applies the
@@ -311,6 +297,8 @@ def _family_slots(m: PiecewiseMap, d: InputDensity, part_index: int,
         # is the one a member-by-member check would meet first
         n = walked * rows
         check_jacobian(xb[:n], c if np.ndim(c) == 0 else c[:n], vb[:n])
+        jac_of_slot += ([c] * walked if np.ndim(c) == 0
+                        else list(c[:n].reshape(walked, rows)))
         kept += walked
         if stopped:
             return kept, p.k_hi is None or k + walked - 1 < p.k_hi
@@ -357,6 +345,7 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
     slot_part: list[int] = []  # part index per slot
     slot_k: list[int] = []     # family member per slot, 0 for a branch
     part_end: list[int] = []   # per slot, the first slot of the next part
+    jac_of_slot: list = []     # |det J| per slot, as part_jac returned it
     truncated = np.zeros(rows, dtype=bool)
 
     for i, p in enumerate(m.parts):
@@ -367,11 +356,12 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
             c = _slot_for_part(m, d, i, y, None, y_tol,
                                (x[S], valid[S], weight[S]))
             check_jacobian(x[S], c, valid[S])
+            jac_of_slot.append(c)
             slot_part.append(i)
             slot_k.append(0)
         else:
             kept, cut = _family_slots(m, d, i, y, y_tol, k_max,
-                                      (x, valid, weight), S)
+                                      (x, valid, weight), S, jac_of_slot)
             slot_part += [i] * kept
             slot_k += range(p.k_lo, p.k_lo + kept)
             if cut:
@@ -399,7 +389,7 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
         x=x, valid=valid, weight=weight,
         part_of_slot=np.asarray(slot_part, dtype=np.int64),
         k_of_slot=np.asarray(slot_k, dtype=np.int64),
-        f_y=weight.sum(axis=0), truncated=truncated, pmap=m)
+        f_y=weight.sum(axis=0), truncated=truncated, jac_of_slot=jac_of_slot)
 
 
 # --- scalar operations -------------------------------------------------------
@@ -417,15 +407,16 @@ def _kept_slots(m: PiecewiseMap, t: CandidateTable):
 def preimage(m: PiecewiseMap, d: InputDensity, y, tol: float = DEFAULT_TOL,
              k_max: int = DEFAULT_K_MAX) -> PreimageSet:
     """All preimage candidates of y that survive the region, support and
-    map-back checks, with |det J| evaluated on the candidates kept.  An
-    empty set is valid: y lies outside the image."""
+    map-back checks, with |det J| as the build evaluated it.  An empty
+    set is valid: y lies outside the image."""
     t = build_candidates(m, d, point_row(y, m.dim), tol, k_max)
     kept, refs = _kept_slots(m, t)
+    jac = [t.jac_of_slot[s] for s in kept.tolist()]
+    jac = [float(c) if isinstance(c, float) else float(c[0]) for c in jac]
     elems = tuple(
         PreimageElement(part=ref, x=tuple(x), jac=jac, weight=weight)
         for ref, x, jac, weight in zip(
-            refs, t.x[kept, 0].tolist(), _slots_jac(t, kept)[:, 0].tolist(),
-            t.weight[kept, 0].tolist()))
+            refs, t.x[kept, 0].tolist(), jac, t.weight[kept, 0].tolist()))
     return PreimageSet(elems, bool(t.truncated[0]))
 
 

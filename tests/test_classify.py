@@ -6,7 +6,7 @@ import math
 import pytest
 
 from infoloss import cli
-from infoloss.classify import Classification, atom_scan, classify
+from infoloss.classify import atom_scan, classify
 
 # the package's ``classify`` attribute is the function, not the module
 classify_module = importlib.import_module("infoloss.classify")
@@ -90,13 +90,11 @@ def test_atom_scan_reads_the_sample_of_the_preceding_classify(setups,
     # the classification carries its sample: the scan draws nothing
     assert atom_scan(m, d, classification=c) == fresh
     assert draws == []
-    # one built from its verdict, reason and evidence alone compares
-    # equal, and a scan given it draws its own sample
-    bare = Classification(c.verdict, c.reason, c.evidence)
-    assert bare == c
-    assert atom_scan(m, d, 20_000, 3, classification=bare) == fresh
-    assert len(draws) == 1
-    draws.clear()
+    # the classification carries the atoms the scan returns: given it,
+    # the scan makes no second draw
+    assert list(c.atoms) == fresh
+    assert atom_scan(m, d, 20_000, 3, classification=c) == fresh
+    assert draws == []
     rep = cli.build_report(setup, 20_000, 3, 8, setup.analysis.depths, 1)
     assert len(draws) == 1
     assert rep["atoms"] == [{"y": list(y), "mass": mass} for y, mass in fresh]

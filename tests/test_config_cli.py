@@ -88,6 +88,10 @@ def test_triangle_builder_matches_shipped_preset():
     (lambda d: d["parts"][0]["forward"].__setitem__(0, "(" * 3000 + "x1" + ")" * 3000),
      "nests too deeply"),
     (lambda d: d["analysis"].update(tol=0), "analysis.tol: must be positive"),
+    *[(lambda d, v=v: d.update(name=v), "name: expected a string")
+      for v in (True, 7, None, ["a"])],
+    *[(lambda d, v=v: d["density"].update(support=v), "density.support")
+      for v in (False, 0, "", [], {})],
 ])
 def test_schema_rejections(mutate, fragment):
     doc = json.loads(preset_path("identity").read_text())

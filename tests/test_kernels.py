@@ -21,7 +21,12 @@ from infoloss.config import load_config, preset_path
 from infoloss.errors import SingularJacobianError
 from infoloss.exprlang import eval_array
 from infoloss.loss import _grouped_entropy_bits
-from infoloss.model import Branch, check_jacobian, postcompose_affine
+from infoloss.model import (
+    Branch,
+    PiecewiseMap,
+    check_jacobian,
+    postcompose_affine,
+)
 from infoloss.numerics import (
     TILE_COLUMNS,
     chunk_plan,
@@ -715,6 +720,36 @@ def test_no_estimator_reads_the_table_jacobian(setups, name):
             transform.preimage(m, d, yi)
             transform.output_density(m, d, yi)
             transform.branch_posterior(m, d, yi)
+
+
+@pytest.mark.parametrize("name", ["ex3_exp_sawtooth", "ex2_square_gaussian"])
+def test_table_jacobian_and_preimage_reuse_the_build_jacobian(setups, name):
+    # a constant |det J| and an expression one: reading the table's jac
+    # and calling preimage evaluate |det J| no more often than the build
+    s = setups[name]
+    m, d = s.pmap, s.density
+    x = d.sample(40, 3)
+    y = m.forward_batch(x, *m.dispatch_batch(x))
+    calls = []
+    real = PiecewiseMap.part_jac
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return real(self, *args, **kwargs)
+
+    with patch.object(PiecewiseMap, "part_jac", counted):
+        t = transform.build_candidates(m, d, y)
+        built = len(calls)
+        assert built > 0
+        t.jac
+        assert len(calls) == built
+        for yi in y[:5]:
+            calls.clear()
+            transform.build_candidates(m, d, yi[None, :])
+            built = len(calls)
+            calls.clear()
+            assert transform.preimage(m, d, yi).elements
+            assert len(calls) <= built
 
 
 # --- the chunk Jacobian ------------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_scipy_special_is_imported_only_to_sample_a_gaussian(preset, loaded):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_run_chunks_order_errors_and_the_calling_thread(workers):
-    plan = chunk_plan(10 * 1000, 1000)
+    plan = [(c, 1000) for c in range(10)]
     ran, threads = [], set()
 
     def fn(c, m):
@@ -259,7 +259,7 @@ def test_run_chunks_order_errors_and_the_calling_thread(workers):
 
 
 def test_run_chunks_stress_hands_out_each_chunk_once():
-    plan = chunk_plan(3000, 1)
+    plan = [(c, 1) for c in range(3000)]
     calls = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
