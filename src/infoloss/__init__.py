@@ -75,6 +75,7 @@ from .model import (
     validate,
 )
 from .numerics import MCResult, tensor_quadrature
+from .report import build_report
 from .transform import (
     BranchPosterior,
     PreimageElement,

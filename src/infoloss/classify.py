@@ -19,7 +19,7 @@ attempt is made to detect divergence numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,9 @@ class Classification:
         default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "reason": self.reason,
-                "evidence": list(self.evidence)}
+        out = asdict(self)
+        del out["atoms"]
+        return out
 
 
 def _part_masses(m: PiecewiseMap, d: InputDensity, n: int, seed: int):

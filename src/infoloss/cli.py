@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it parses the arguments, calls the library
+and prints the result; it computes nothing of its own.
 
     infoloss <validate|loss|bounds|classify|sweep|report|presets>
              [path] [--n INT] [--seed U64] [--method NAME] [--nodes INT]
@@ -10,9 +11,11 @@ directory).  Exit codes: 0 success, 2 config or validation failure,
 3 infinite-loss verdict where a finite number was requested, 4 numerical
 failure.
 
+``report`` prints ``report.build_report``; ``loss``, ``bounds`` and
+``sweep`` print its sections, one ``loss.estimate`` estimator each.
 Reports are deterministic for a fixed seed: the JSON payload carries no
-timestamps unless --timing is given, and the worker count changes wall
-time only, never output bytes.
+timestamps unless --timing is given (stamped here, around the library
+call), and the worker count changes wall time only, never output bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import sys
 import time
 
 from . import loss as loss_mod
-from .bounds import bounds_report
 from .classify import atom_scan, classify
 from .config import (
     ModelSetup,
@@ -41,16 +43,16 @@ from .errors import (
     InfoLossError,
 )
 from .model import DEFAULT_N_PROBE, validate
+from .report import _CLASSIFY_CAP, build_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFINITE = 3
 EXIT_NUMERICAL = 4
-_CLASSIFY_CAP = 200_000  # samples classify and atom_scan read at most
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _emit(obj, file=None) -> None:
+    print(json.dumps(obj, sort_keys=True, indent=2), file=file)
 
 
 def _load(args) -> ModelSetup:
@@ -112,97 +114,27 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_loss(args) -> int:
+def cmd_estimate(args) -> int:
+    """``loss``, ``bounds`` and ``sweep``: the estimator ``args.method``
+    names, printed as the report's section (the sweep as CSV)."""
     setup = _load(args)
-    n, seed, nodes, _, workers = _analysis_overrides(setup, args)
+    n, seed, nodes, depths, workers = _analysis_overrides(setup, args)
     m, d, a = setup.pmap, setup.density, setup.analysis
-    method = args.method
-    if method == "eq5_quadrature":
+    name = args.method
+    if name == "eq5_quadrature":
         rep = loss_mod.loss_eq5_quadrature(m, d, nodes, tol=a.tol,
                                            k_max=a.k_max, seed=seed)
     else:
-        rep = loss_mod.estimate(m, d, n, seed, (method,), tol=a.tol,
-                                k_max=a.k_max, workers=workers)[method]
-    _emit(rep.to_dict())
-    return EXIT_OK
-
-
-def cmd_bounds(args) -> int:
-    setup = _load(args)
-    n, seed, _, _, workers = _analysis_overrides(setup, args)
-    rep = bounds_report(setup.pmap, setup.density, n, seed,
-                        tol=setup.analysis.tol, k_max=setup.analysis.k_max,
-                        workers=workers)
-    _emit(rep.to_dict())
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    setup = _load(args)
-    n, seed, _, depths, workers = _analysis_overrides(setup, args)
-    sw = loss_mod.partition_sweep(setup.pmap, setup.density, depths, n, seed,
-                                  tol=setup.analysis.tol,
-                                  k_max=setup.analysis.k_max, workers=workers)
+        rep = loss_mod.estimate(m, d, n, seed, (name,), depths=depths,
+                                tol=a.tol, k_max=a.k_max,
+                                workers=workers)[name]
+    if name != "sweep":
+        _emit(rep.to_dict())
+        return EXIT_OK
     print("depth,loss_bits,stderr_bits")
-    for depth, lb, se in zip(sw.depths, sw.losses_bits, sw.stderrs_bits):
+    for depth, lb, se in zip(rep.depths, rep.losses_bits, rep.stderrs_bits):
         print(f"{depth},{lb!r},{se!r}")
     return EXIT_OK
-
-
-_REPORT_SWEEP_CAP = 200_000
-
-
-def build_report(setup: ModelSetup, n: int, seed: int, nodes: int,
-                 depths, workers: int, timing: bool = False) -> dict:
-    """The full analysis document: validation, classification, all loss
-    routes, bounds and the partition sweep (finite maps only).  The
-    Monte-Carlo estimators share one pass over the sample stream."""
-    t0 = time.monotonic()
-    m, d, a = setup.pmap, setup.density, setup.analysis
-    warnings: list[str] = []
-    vrep = validate(m, d, seed=seed)
-    if not vrep.ok:
-        warnings.extend(vrep.failures)
-    n_classify = min(n, _CLASSIFY_CAP)
-    cls = classify(m, d, n_classify, seed)
-    atoms = atom_scan(m, d, n_classify, seed, classification=cls)
-    out = {
-        "name": setup.name,
-        "model_digest": setup.digest,
-        "analysis": {"n": n, "seed": seed, "nodes_per_dim": nodes,
-                     "depths": list(depths), "k_max": a.k_max, "tol": a.tol},
-        "validation": vrep.to_dict(),
-        "classification": cls.to_dict(),
-        "atoms": [{"y": list(y), "mass": mass} for y, mass in atoms],
-        "loss": None,
-        "bounds": None,
-        "sweep": None,
-    }
-    if cls.verdict == "Infinite":
-        warnings.append("loss is infinite; finite estimators were skipped")
-    else:
-        est = loss_mod.estimate(
-            m, d, n, seed, loss_mod.ESTIMATORS, depths=depths,
-            sweep_n=min(n, _REPORT_SWEEP_CAP), tol=a.tol, k_max=a.k_max,
-            workers=workers, classification=cls)
-        losses = {"eq5_mc": est["eq5_mc"].to_dict()}
-        if est["eq5_mc"].truncated:
-            warnings.append("family enumeration truncated in eq5_mc")
-        if m.dim <= 2:
-            losses["eq5_quadrature"] = loss_mod.loss_eq5_quadrature(
-                m, d, nodes, tol=a.tol, k_max=a.k_max,
-                classification=cls, seed=seed).to_dict()
-        else:
-            warnings.append("quadrature skipped: dimension exceeds 2")
-        losses["corollary1"] = est["corollary1"].to_dict()
-        losses["branch_posterior"] = est["branch_posterior"].to_dict()
-        out["loss"] = losses
-        out["bounds"] = est["bounds"].to_dict()
-        out["sweep"] = est["sweep"].to_dict()
-    out["warnings"] = warnings
-    if timing:
-        out["wall_time_s"] = time.monotonic() - t0
-    return out
 
 
 def _report_text(rep: dict) -> str:
@@ -248,8 +180,10 @@ def _flatten(obj, prefix=""):
 def cmd_report(args) -> int:
     setup = _load(args)
     n, seed, nodes, depths, workers = _analysis_overrides(setup, args)
-    rep = build_report(setup, n, seed, nodes, depths, workers,
-                       timing=args.timing)
+    t0 = time.monotonic()
+    rep = build_report(setup, n, seed, nodes, depths, workers)
+    if args.timing:
+        rep["wall_time_s"] = time.monotonic() - t0
     if args.out == "text":
         print(_report_text(rep))
     elif args.out == "csv":
@@ -294,11 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "branch_posterior"])
     p.add_argument("--nodes", type=int, default=None,
                    help="quadrature nodes per dimension")
-    p.set_defaults(fn=cmd_loss)
+    p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("bounds", help="upper bounds and H(W)")
     common(p)
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_estimate, method="bounds")
 
     p = sub.add_parser("classify", help="finite/infinite loss verdict")
     common(p)
@@ -307,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="partition sweep as CSV")
     common(p)
     p.add_argument("--depths", default=None, help="A:B inclusive, or comma list")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_estimate, method="sweep")
 
     p = sub.add_parser("report", help="full analysis report")
     common(p)
@@ -332,8 +266,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except InfiniteLossError as err:
-        print(json.dumps(err.classification.to_dict(), sort_keys=True,
-                         indent=2), file=sys.stderr)
+        _emit(err.classification.to_dict(), file=sys.stderr)
         print("error: information loss is infinite; no finite estimate",
               file=sys.stderr)
         return EXIT_INFINITE

@@ -110,12 +110,9 @@ class LossReport:
     excluded_fraction: float = 0.0
 
     def to_dict(self) -> dict:
-        out = {"loss_bits": self.loss_bits, "stderr_bits": self.stderr_bits,
-               "method": self.method, "n_samples": self.n_samples,
-               "seed": self.seed, "truncated": self.truncated,
-               "excluded_fraction": self.excluded_fraction}
-        if self.components is not None:
-            out["components"] = dict(self.components)
+        out = asdict(self)
+        if self.components is None:
+            del out["components"]
         return out
 
 
@@ -128,10 +125,7 @@ class PartitionSweep:
     seed: int
 
     def to_dict(self) -> dict:
-        return {"depths": list(self.depths),
-                "losses_bits": list(self.losses_bits),
-                "stderrs_bits": list(self.stderrs_bits),
-                "n_samples": self.n_samples, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ evaluate from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -505,22 +505,10 @@ class ValidationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "n_probe": self.n_probe,
-            "seed": self.seed,
-            "parts": self.part_reports,
-            "coverage_gaps": self.coverage_gaps,
-            "overlaps": self.overlaps,
-            "gap_example": self.gap_example,
-            "overlap_example": self.overlap_example,
-            "pdf_normalization": self.pdf_normalization,
-            "normalization_method": self.normalization_method,
-            "sampler_acceptance": self.sampler_acceptance,
-            "bbox_violations": self.bbox_violations,
-            "pdf_negative": self.pdf_negative,
-            "failures": self.failures,
-        }
+        out = asdict(self)
+        out["parts"] = out.pop("part_reports")
+        out["ok"] = self.ok
+        return out
 
 
 def _family_checks(fam: BranchFamily, x: np.ndarray, k: np.ndarray,

@@ -201,14 +201,15 @@ def run_chunks(fn: Callable[[int, int], object],
     """Evaluate ``fn(chunk_index, chunk_len)`` for every chunk.
 
     Results come back in chunk order whatever ``workers`` is; ``fn``
-    must be pure apart from reading shared immutable state.  With more
-    than one worker the calling thread takes chunks too, beside
-    ``workers - 1`` pool threads, so a pass starts one thread fewer and
-    the caller's heap, warm from earlier passes, serves its chunks
-    instead of a new thread's.  Every chunk runs; the error of the first
-    failing chunk in plan order is raised.
+    must be pure apart from reading shared immutable state.  At most one
+    thread runs per chunk: the calling thread takes chunks too, beside
+    ``min(workers, len(plan)) - 1`` pool threads, so a pass starts one
+    thread fewer and the caller's heap, warm from earlier passes, serves
+    its chunks instead of a new thread's.  Every chunk runs; the error
+    of the first failing chunk in plan order is raised.
     """
-    if workers <= 1 or len(plan) <= 1:
+    workers = min(workers, len(plan))
+    if workers <= 1:
         return [fn(c, m) for c, m in plan]
     # imported here: concurrent.futures brings logging with it, which
     # ``import infoloss`` would otherwise pay for on every run

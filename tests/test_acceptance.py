@@ -67,6 +67,17 @@ def test_acceptance_1_fold_square(setups):
              + f", quadrature={quad.loss_bits:.4f} (target 0.5)")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the midpoint grid reads exactly 0.5 - 1/nodes bits (0.498046875 at "
+    "512 nodes, 0.484375 at 64, stderr 0): on a square grid over the "
+    "square box the diagonal cells' midpoints lie on the fold x1 = x2, "
+    "where the two preimages merge into one and the integrand reads 0"))
+def test_acceptance_1_fold_square_quadrature_within_1e4(setups):
+    setup = setups["ex1_fold_square"]
+    quad = loss_eq5_quadrature(setup.pmap, setup.density, 512)
+    assert quad.loss_bits == pytest.approx(0.5, abs=1e-4)
+
+
 # --- criterion 2: square of a standard Gaussian ------------------------------------
 
 def test_acceptance_2_square_gaussian(setups):

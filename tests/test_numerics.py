@@ -271,3 +271,27 @@ def test_run_chunks_stress_hands_out_each_chunk_once():
         sys.setswitchinterval(interval)
     assert out == list(range(3000))
     assert sorted(calls) == list(range(3000))
+
+
+def test_run_chunks_starts_no_more_threads_than_chunks(monkeypatch):
+    # a worker count far above the plan's length: one pool thread per
+    # chunk beyond the caller's, never one per requested worker.  The
+    # barrier holds every chunk until all three run at once, so no pool
+    # thread can go idle and be reused before the pool has started all
+    # the threads it will
+    plan = [(c, 10) for c in range(3)]
+    barrier = threading.Barrier(len(plan), timeout=30)
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    def fn(c, m):
+        barrier.wait()
+        return c * m
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert run_chunks(fn, plan, 32) == [0, 10, 20]
+    assert len(starts) <= len(plan) - 1

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import pytest
 
-from infoloss import cli, loss, transform
+from infoloss import cli, loss, report, transform
 from infoloss.bounds import bounds_report
 from infoloss.classify import classify
 from infoloss.model import InputDensity
@@ -34,7 +34,7 @@ def _bytes(obj) -> str:
 @pytest.mark.parametrize("name", ["ex1_fold_square", "ex6_m1",
                                   "ex3_exp_sawtooth"])
 def test_report_equals_standalone_selectors(setups, monkeypatch, name, workers):
-    monkeypatch.setattr(cli, "_REPORT_SWEEP_CAP", SWEEP_CAP)
+    monkeypatch.setattr(report, "_REPORT_SWEEP_CAP", SWEEP_CAP)
     setup = setups[name]
     m, d, a = setup.pmap, setup.density, setup.analysis
     rep = cli.build_report(setup, N, SEED, NODES, a.depths, workers)
@@ -89,7 +89,7 @@ def _sampled(chunks: list, samples: list) -> list:
 
 
 def test_report_builds_each_chunk_once(setups, monkeypatch):
-    monkeypatch.setattr(cli, "_REPORT_SWEEP_CAP", SWEEP_CAP)
+    monkeypatch.setattr(report, "_REPORT_SWEEP_CAP", SWEEP_CAP)
     chunks, samples = _record_chunks(monkeypatch)
     setup = setups["ex1_fold_square"]
     cli.build_report(setup, N, SEED, NODES, setup.analysis.depths, 1)
