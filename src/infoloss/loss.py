@@ -48,6 +48,7 @@ from .errors import InfiniteLossError, ZeroDensityError
 from .model import DEFAULT_K_MAX, InputDensity, PiecewiseMap, check_jacobian
 from .numerics import (
     MCResult,
+    PassBuffers,
     TILE_COLUMNS,
     chunk_moments,
     chunk_plan,
@@ -529,7 +530,10 @@ def loss_eq5_quadrature(m: PiecewiseMap, d: InputDensity,
         truncated |= bool(ch.table.truncated.any())
         return out
 
-    total = tensor_quadrature(d.support.bbox, integrand, nodes_per_dim)
+    # each grid block is one chunk of a pass (see numerics.PassBuffers)
+    with PassBuffers() as bufs:
+        total = tensor_quadrature(d.support.bbox, partial(bufs.run, integrand),
+                                  nodes_per_dim)
     return LossReport(total, 0.0, "eq5_quadrature", nodes_per_dim ** m.dim,
                       seed, truncated=truncated)
 

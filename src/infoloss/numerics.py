@@ -17,6 +17,17 @@ reads is one contiguous run, not a stride-N view.  Only the layout
 differs from a row-major array; the fill order of the draws and every
 value are the same.  ``take_rows`` keeps the layout where rows are
 selected.
+
+A chunk pass owns one set of working buffers per worker thread
+(``PassBuffers``): ``run_chunks`` opens a set around each worker's loop,
+and the quadrature of the loss module around its block loop.  The large
+arrays every chunk needs afresh, the samplers' proposals and accepted
+rows and the candidate table, come from ``chunk_buffer``, which inside
+a pass lends each named buffer once per chunk as a contiguous leading
+view, instead of a new array whose pages a freed predecessor has just
+given back to the kernel.  The next chunk on the thread overwrites
+them, so a chunk's result, what ``fn`` returns to ``run_chunks``, must
+not be a view of them.  Outside a pass ``chunk_buffer`` is ``np.empty``.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ __all__ = [
     "derived_seed",
     "chunk_plan",
     "run_chunks",
+    "PassBuffers",
+    "chunk_buffer",
     "merge_moments",
     "chunk_moments",
     "row_max",
@@ -195,6 +208,69 @@ def chunk_plan(n: int) -> list[tuple[int, int]]:
     return plan
 
 
+_local = threading.local()  # .buffers: the PassBuffers open on this thread
+
+
+class PassBuffers:
+    """The working buffers of one chunk pass on one thread.
+
+    While it is open (``with PassBuffers() as bufs``), ``chunk_buffer``
+    on this thread lends each named buffer at most once per chunk, as a
+    contiguous ``[:size]`` view of one flat array grown to the largest
+    request seen, so the pass touches the pages of each buffer once
+    rather than once per chunk.  ``bufs.run(fn, ...)`` runs one chunk;
+    a second request for a name within a chunk gets a new array.
+    Closing the set, also when the pass raises, drops every buffer and
+    restores the set that was open before, if any.
+    """
+
+    def __init__(self):
+        self._flat: dict = {}   # (name, dtype) -> 1-D buffer
+        self._lent: set = set()  # the keys lent in the current chunk
+        self._outer = None
+
+    def __enter__(self) -> "PassBuffers":
+        self._outer = getattr(_local, "buffers", None)
+        _local.buffers = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _local.buffers = self._outer
+        self._flat.clear()
+
+    def run(self, fn: Callable, *args):
+        """``fn(*args)`` as the next chunk: every buffer may be lent again.
+        A chunk that raises gives its buffers up, since the error may hold
+        a view of them (the point it names)."""
+        self._lent.clear()
+        try:
+            return fn(*args)
+        except BaseException:
+            self._flat.clear()
+            raise
+
+    def take(self, name: str, shape: tuple, dtype, order: str) -> np.ndarray:
+        key = (name, np.dtype(dtype))
+        if key in self._lent:
+            return np.empty(shape, dtype, order=order)
+        self._lent.add(key)
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape, order=order)
+
+
+def chunk_buffer(name: str, shape: tuple, dtype=float,
+                 order: str = "C") -> np.ndarray:
+    """An uninitialised array, ``np.empty(shape, dtype, order=order)``;
+    inside an open ``PassBuffers``, a view of its buffer ``name``."""
+    bufs = getattr(_local, "buffers", None)
+    if bufs is None:
+        return np.empty(shape, dtype, order=order)
+    return bufs.take(name, shape, dtype, order)
+
+
 def run_chunks(fn: Callable[[int, int], object],
                plan: Sequence[tuple[int, int]],
                workers: int = 1) -> list[object]:
@@ -207,10 +283,16 @@ def run_chunks(fn: Callable[[int, int], object],
     thread fewer and the caller's heap, warm from earlier passes, serves
     its chunks instead of a new thread's.  Every chunk runs; the error
     of the first failing chunk in plan order is raised.
+
+    Each thread runs its chunks inside its own ``PassBuffers``, open for
+    the pass: the buffers ``fn`` takes by ``chunk_buffer`` are reused by
+    the thread's next chunk, so what ``fn`` returns must not be a view
+    of them.
     """
     workers = min(workers, len(plan))
     if workers <= 1:
-        return [fn(c, m) for c, m in plan]
+        with PassBuffers() as bufs:
+            return [bufs.run(fn, c, m) for c, m in plan]
     # imported here: concurrent.futures brings logging with it, which
     # ``import infoloss`` would otherwise pay for on every run
     from concurrent.futures import ThreadPoolExecutor
@@ -222,16 +304,17 @@ def run_chunks(fn: Callable[[int, int], object],
     stop = False
 
     def work():
-        while not stop:
-            with lock:
-                job = next(jobs, None)
-            if job is None:
-                return
-            i, (c, m) = job
-            try:
-                results[i] = fn(c, m)
-            except Exception as err:  # noqa: BLE001 - raised in plan order
-                errors[i] = err
+        with PassBuffers() as bufs:
+            while not stop:
+                with lock:
+                    job = next(jobs, None)
+                if job is None:
+                    return
+                i, (c, m) = job
+                try:
+                    results[i] = bufs.run(fn, c, m)
+                except Exception as err:  # noqa: BLE001 - raised in plan order
+                    errors[i] = err
 
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
         helpers = [pool.submit(work) for _ in range(workers - 1)]
@@ -253,14 +336,32 @@ def run_chunks(fn: Callable[[int, int], object],
 # Builtin forms sample by per-coordinate inverse CDF; region-uniform and
 # expression densities by rejection from the support box.  Each sampler
 # draws its (n, N) uniforms row-major, as Philox fills them, and returns
-# a column-contiguous array of the same values.
+# a column-contiguous array of the same values.  The uniform box and
+# rejection samplers take their proposals and accepted rows from
+# ``chunk_buffer``.
+
+def _box_buffers(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major array Philox fills with ``n`` box proposals, and its
+    column-contiguous copy: the same array where the layouts agree."""
+    u = chunk_buffer("proposal", (n, dim))
+    if u.flags.f_contiguous:
+        return u, u
+    return u, chunk_buffer("proposal_f", (n, dim), order="F")
+
+
+def _fill_box(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator,
+              u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    rng.random(out=u)
+    if f is not u:
+        np.copyto(f, u)
+    f *= hi - lo
+    f += lo  # lo + u * (hi - lo), without two temporaries
+    return f
+
 
 def uniform_box_sample(lo: np.ndarray, hi: np.ndarray, n: int,
                        rng: np.random.Generator) -> np.ndarray:
-    u = np.asfortranarray(rng.random((n, lo.size)))
-    u *= hi - lo
-    u += lo  # lo + u * (hi - lo), without two temporaries
-    return u
+    return _fill_box(lo, hi, rng, *_box_buffers(n, lo.size))
 
 
 def gaussian_iid_sample(mu: float, sigma: float, dim: int, n: int,
@@ -287,19 +388,21 @@ def rejection_sample(accept: Callable[[np.ndarray, np.random.Generator],
                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Accept-reject from the uniform proposal on [lo, hi].
 
-    Proposals come in batches of ``max(n, 4096)`` rows from
-    ``uniform_box_sample``; ``accept(x, rng)`` returns the mask of the
-    rows kept, and may draw from ``rng`` after the batch.  Returns the
-    first n rows kept, column-contiguous, plus the observed acceptance
-    rate; a ConfigError once ``EMPTY_SUPPORT_PROPOSALS`` accept none.
+    Proposals come in batches of ``max(n, 4096)`` rows, drawn as
+    ``uniform_box_sample`` draws them into one pair of buffers that
+    every batch reuses; ``accept(x, rng)`` returns the mask of the rows
+    kept, and may draw from ``rng`` after the batch.  Returns the first
+    n rows kept, column-contiguous, plus the observed acceptance rate;
+    a ConfigError once ``EMPTY_SUPPORT_PROPOSALS`` accept none.
     """
-    out = np.empty((n, lo.size), order="F")
+    out = chunk_buffer("sample", (n, lo.size), order="F")
     got = 0
     proposed = 0
     accepted = 0
     batch = max(n, 4096)
+    box = _box_buffers(batch, lo.size)
     while got < n:
-        x = uniform_box_sample(lo, hi, batch, rng)
+        x = _fill_box(lo, hi, rng, *box)
         ok = accept(x, rng)
         proposed += batch
         idx = np.flatnonzero(ok)

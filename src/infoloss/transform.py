@@ -31,9 +31,11 @@ block.  The members after the stop are dropped, and only the members
 kept are checked for a singular Jacobian, so the table and the first
 error raised are those of a one-member-at-a-time walk.
 
-The table is written once: its arrays are allocated at their capacity
+The table is written once: its arrays are taken at their capacity
 (one slot per branch, plus ``k_max`` or the member range, whichever is
-smaller, per family), each part writes its slots, or a family its
+smaller, per family) by ``numerics.chunk_buffer``, so inside a chunk
+pass each chunk's table reuses the pass's buffers and elsewhere each
+build allocates its own; each part writes its slots, or a family its
 member blocks, straight into the next free rows, and the table's fields
 are views of the rows written.  After the build only the duplicate
 merge writes to them.  The candidate points are stored coordinate-major,
@@ -75,7 +77,13 @@ from .model import (
     bind_columns,
     check_jacobian,
 )
-from .numerics import column_tiles, point_row, row_all, row_max
+from .numerics import (
+    chunk_buffer,
+    column_tiles,
+    point_row,
+    row_all,
+    row_max,
+)
 
 __all__ = [
     "PreimageElement",
@@ -123,9 +131,11 @@ class CandidateTable:
     member (0 for a branch).  ``weight`` is f_X/|det J| (zero where
     invalid), ``f_y`` the summed output density, and ``truncated`` marks
     rows whose family enumeration was cut short.
-    The slot arrays are leading ``[:S]`` views of buffers allocated at
-    the table's capacity; after ``build_candidates`` has written the
-    slots, only its duplicate merge writes to them.
+    The slot arrays are leading ``[:S]`` views of buffers taken at the
+    table's capacity; after ``build_candidates`` has written the slots,
+    only its duplicate merge writes to them.  A table built inside a
+    chunk pass lives as long as its chunk: the pass's next chunk on the
+    thread writes its own table into the same buffers.
 
     ``jac_of_slot`` holds |det J| per slot as the build's ``part_jac``
     call returned it: one float where it is constant over the slot's
@@ -170,7 +180,10 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
     code = p.code
     xc, valid, weight = out
     rows, n = y.shape[0], xc.shape[0]
-    yb = y if n == rows else np.tile(y, (n // rows, 1))
+    # a block of members repeats the query rows once per member; one
+    # query row broadcasts against the per-row k instead
+    tiled = n != rows and rows > 1
+    yb = np.tile(y, (n // rows, 1)) if tiled else y
     k = None
     if ks is not None:
         # one member binds k as a number: the same values, without an
@@ -201,7 +214,7 @@ def _slot_for_part(m: PiecewiseMap, d: InputDensity, part_index: int,
 
         np.logical_and(finite, in_region, out=valid)
         valid &= fx > 0.0
-        valid &= dev <= (y_tol if n == rows else np.tile(y_tol, n // rows))
+        valid &= dev <= (np.tile(y_tol, n // rows) if tiled else y_tol)
         valid &= back_finite
         c = m.part_jac(part_index, xc, k)
         np.divide(fx, c, out=weight)
@@ -339,9 +352,9 @@ def build_candidates(m: PiecewiseMap, d: InputDensity, y: np.ndarray,
     y_tol = tol * (1.0 + row_max(np.abs(y)))  # map-back tolerance per row
     cap = _slot_capacity(m, k_max)
     # coordinate-major: (S, m, N) indexing over an (N, S, m) buffer
-    x = np.empty((m.dim, cap, rows)).transpose(1, 2, 0)
-    valid = np.empty((cap, rows), dtype=bool)
-    weight = np.empty((cap, rows))
+    x = chunk_buffer("table_x", (m.dim, cap, rows)).transpose(1, 2, 0)
+    valid = chunk_buffer("table_valid", (cap, rows), bool)
+    weight = chunk_buffer("table_weight", (cap, rows))
     slot_part: list[int] = []  # part index per slot
     slot_k: list[int] = []     # family member per slot, 0 for a branch
     part_end: list[int] = []   # per slot, the first slot of the next part
