@@ -70,7 +70,7 @@ def _analysis_overrides(setup: ModelSetup, args):
     seed = args.seed if getattr(args, "seed", None) is not None else a.seed
     nodes = given("nodes", a.nodes_per_dim)
     depths = a.depths
-    if getattr(args, "depths", None):
+    if getattr(args, "depths", None) is not None:
         depths = _parse_depths(args.depths, setup.pmap.dim)
     workers = given("workers", 1)
     return n, seed, nodes, depths, workers

@@ -50,6 +50,7 @@ from .numerics import (
     MCResult,
     PassBuffers,
     TILE_COLUMNS,
+    chunk_buffer,
     chunk_moments,
     chunk_plan,
     column_tiles,
@@ -320,21 +321,53 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
     rows) so that one tile's working set is reused by every depth while
     it is in cache.  Per tile the cells of every depth come from one
     scaling at the deepest depth (``_dyadic_cells``), the posterior
-    weights are normalized once, the invalid slots are found once, and
-    the running sums of the normalized weights are shared by every depth
-    whose cells are presorted (``_RunningSums``)."""
+    weights are normalized once and the invalid slots are found once.
+
+    The depths are taken deepest first, duplicates included, each result
+    written to its own depth's row.  A tile keeps the slot order of the
+    last depth that sorted, with its running sums (``_TileOrder``), for
+    as long as that order is the stable sort order of the next depth's
+    cells, and sorts again only when it is not; a presorted tile keeps
+    the identity order at every depth.  Under one order a shallower
+    depth can only merge runs of a deeper one, so a depth with as many
+    equal neighbours as the last depth computed under the same order
+    has the same runs, and copies that depth's entropies.  Either way
+    every depth reads the weights in its own stable order, as the
+    contract of ``_grouped_entropy_bits`` asks.
+
+    The per-row results ``h`` and each tile's scaled points and
+    normalized weights are pass buffers (``numerics.chunk_buffer``): the
+    reducer returns only their moments."""
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
-    h = np.empty((len(depths), t.f_y.shape[0]))
-    for cols in column_tiles(t.f_y.shape[0], _SWEEP_TILE):
-        u = (t.x[:, cols] - lo) / (hi - lo)
+    slots, rows, dim = t.x.shape
+    tiles = column_tiles(rows, _SWEEP_TILE)
+    widest = max(c.stop - c.start for c in tiles)
+    h = chunk_buffer("sweep_h", (len(depths), rows))
+    u_buf = chunk_buffer("sweep_u", (dim * slots * widest,))
+    wn_buf = chunk_buffer("sweep_wn", (slots * widest,))
+    walk = sorted(range(len(depths)), key=lambda j: -depths[j])
+    for cols in tiles:
+        width = cols.stop - cols.start
+        size = slots * width
+        # axis-major, as the table's x: each axis of u is one contiguous run
+        u = u_buf[:dim * size].reshape(dim, slots, width).transpose(1, 2, 0)
+        np.subtract(t.x[:, cols], lo, out=u)
+        np.divide(u, hi - lo, out=u)
+        wn = np.divide(t.weight[:, cols], np.maximum(t.f_y[cols], 1e-300),
+                       out=wn_buf[:size].reshape(slots, width))
         invalid = np.flatnonzero(~t.valid[:, cols])  # flat (slot, column)
-        wn = t.weight[:, cols] / np.maximum(t.f_y[cols], 1e-300)
-        sums = _RunningSums(wn)
-        for j, cell in enumerate(_dyadic_cells(u, depths)):
+        tile = _TileOrder(wn)
+        last = None  # (row of h, equal neighbours) of the last computed depth
+        for j, cell in zip(walk, _dyadic_cells(u, [depths[j] for j in walk])):
             cell.reshape(-1)[invalid] = -1  # a view: the cells are C-contiguous
-            h[j, cols] = _grouped_entropy_bits(cell, wn, sums)
+            same, nsame, resorted = tile.place(cell)
+            if last is not None and not resorted and nsame == last[1]:
+                h[j, cols] = h[last[0], cols]
+            else:
+                h[j, cols] = _run_entropy_bits(same, nsame, tile.sums)
+                last = (j, nsame)
     _loss_rows(ch, h)
     return tuple(chunk_moments(hj) for hj in h)
 
@@ -615,6 +648,44 @@ class _RunningSums:
                     and np.all(base[1:] >= base[:-1]))
 
 
+class _TileOrder:
+    """A slot order of one tile of normalized weights ``wn`` (S, m), the
+    weights gathered in that order, and their ``_RunningSums``, kept for
+    every set of cells whose stable sort order it is.  The order starts
+    as the identity, with ``sums`` (the ``_RunningSums`` of ``wn``, new
+    if not given) as its running sums; ``wn`` is not written to."""
+
+    def __init__(self, wn: np.ndarray, sums: Optional[_RunningSums] = None):
+        self.wn = wn
+        self.sums = _RunningSums(wn) if sums is None else sums
+        self.flat = None  # flat (slot, column) gather index; None: identity
+        self.down = None  # order[s + 1] < order[s]; None: identity
+
+    def place(self, cells: np.ndarray) -> tuple[np.ndarray, int, bool]:
+        """(``same``, its count of True, whether the order changed) for
+        the (S, m) ``cells`` taken in their stable sort order by cell:
+        ``same[s]`` is True where slot s + 1 of that order continues the
+        run of slot s.  The order is kept if it is that stable order, that
+        is if down every column the gathered cells never decrease and
+        every tie keeps increasing slot index; otherwise the cells are
+        sorted again.  A tile starts in the identity order, so a
+        presorted tile never sorts."""
+        c = cells if self.flat is None else np.take(cells, self.flat)
+        if np.all(c[1:] >= c[:-1]):
+            same = c[1:] == c[:-1]
+            if self.down is None or not np.any(same & self.down):
+                return same, int(np.count_nonzero(same)), False
+        order = np.argsort(cells, axis=0, kind="stable")
+        self.down = order[1:] < order[:-1]
+        order *= cells.shape[1]
+        order += np.arange(cells.shape[1])
+        self.flat = order
+        self.sums = _RunningSums(np.take(self.wn, order))
+        c = np.take(cells, order)
+        same = c[1:] == c[:-1]
+        return same, int(np.count_nonzero(same)), True
+
+
 def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
                           sums: Optional[_RunningSums] = None) -> np.ndarray:
     """Entropy per row of posterior weights aggregated over equal cells.
@@ -624,10 +695,12 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
     ``weight / np.maximum(f_y, 1e-300)`` with f_y the column sums of the
     unnormalized weights (the sweep normalizes a tile once for all its
     depths).  ``wn`` is not written to.  ``sums``, the ``_RunningSums``
-    of ``wn``, lets the depths of one tile share its running sums, which
-    the kernel reads and never writes, when every column of ``cells`` is
-    presorted (the running sums depend only on the slot order, the
-    identity there); otherwise it builds its own for the sorted weights.
+    of ``wn``, is used when every column of ``cells`` is presorted (the
+    running sums depend only on the slot order, the identity there);
+    otherwise the cells are sorted and the sorted weights get their own.
+    This is one depth of the sweep's tile walk, which takes the depths
+    deepest first, places each depth's cells in the tile's
+    ``_TileOrder`` and runs ``_run_entropy_bits`` on the runs.
 
     Arithmetic contract, which the report's bytes depend on and any
     other kernel must keep: the slots of each column are taken in their
@@ -637,7 +710,11 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
     (running sum minus weight) at its run's start (filled down the run by
     a running maximum); the entropy terms are summed over slots in sorted
     order, one slot at a time.  Grouping by ``bincount``, ``np.unique``,
-    a flat composite key or a pairwise sum rounds differently.
+    a flat composite key or a pairwise sum rounds differently.  The
+    sweep reuses one depth's order for another only where it has checked
+    that the order is the other depth's stable order, and copies a depth
+    only where its runs are those of a depth computed in the same order,
+    so each depth keeps this contract.
 
     Where no slot continues a run (no two neighbours share a cell) and
     ``_RunningSums.monotone`` holds, the running maximum and minimum
@@ -652,19 +729,20 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
     wider table rounds differently from it (a one-column table of its
     own, such as a chunk of one row, is summed pairwise either way).
     """
-    if cells.shape[0] == 0:
-        return np.zeros(cells.shape[1])
-    if np.all(cells[1:] >= cells[:-1]):
-        # every column in order: the stable sort order is the identity
-        c, ww = cells, wn
-        rs = _RunningSums(wn) if sums is None else sums
-    else:
-        order = np.argsort(cells, axis=0, kind="stable")
-        c = np.take_along_axis(cells, order, axis=0)
-        ww = np.take_along_axis(wn, order, axis=0)
-        rs = _RunningSums(ww)
-    same = c[1:] == c[:-1]  # row s + 1 continues the run of row s
-    if not same.any() and rs.monotone:
+    tile = _TileOrder(wn, sums)
+    same, nsame, _ = tile.place(cells)
+    return _run_entropy_bits(same, nsame, tile.sums)
+
+
+def _run_entropy_bits(same: np.ndarray, nsame: int,
+                      rs: _RunningSums) -> np.ndarray:
+    """The entropies of ``_grouped_entropy_bits`` from the weights in
+    sorted order, ``rs.ww``, their running sums ``rs`` and the run mask
+    ``same`` (S - 1, m) of the sorted cells, ``nsame`` of it True."""
+    ww = rs.ww
+    if ww.shape[0] == 0:
+        return np.zeros(ww.shape[1])
+    if not nsame and rs.monotone:
         group = rs.csum - rs.base
     else:
         runs = np.flatnonzero(same)

@@ -22,10 +22,11 @@ A chunk pass owns one set of working buffers per worker thread
 (``PassBuffers``): ``run_chunks`` opens a set around each worker's loop,
 and the quadrature of the loss module around its block loop.  The large
 arrays every chunk needs afresh, the samplers' proposals and accepted
-rows and the candidate table, come from ``chunk_buffer``, which inside
-a pass lends each named buffer once per chunk as a contiguous leading
-view, instead of a new array whose pages a freed predecessor has just
-given back to the kernel.  The next chunk on the thread overwrites
+rows, the candidate table and the partition sweep's results and tile
+arrays, come from ``chunk_buffer``, which inside a pass lends each
+named buffer once per chunk as a contiguous leading view, instead of a
+new array whose pages a freed predecessor has just given back to the
+kernel.  The next chunk on the thread overwrites
 them, so a chunk's result, what ``fn`` returns to ``run_chunks``, must
 not be a view of them.  Outside a pass ``chunk_buffer`` is ``np.empty``.
 """

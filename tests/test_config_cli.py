@@ -207,11 +207,13 @@ def test_cli_bad_expression_exit_2(tmp_path):
     ["sweep", "ex3_exp_sawtooth", "--depths", "8,63"],
     ["sweep", "ex1_fold_square", "--depths", "30:32"],
     ["sweep", "ex6_m1", "--n", "2000", "--depths", "3:1"],
+    ["sweep", "ex1_fold_square", "--depths", ""],
+    ["report", "ex1_fold_square", "--depths", ""],
 ], ids=["n_negative", "n_zero", "validate_n_zero", "workers_negative",
         "workers_zero", "nodes_zero", "depths_unparsable_range",
         "depths_unparsable_list", "depths_negative_range",
         "depths_negative_list", "depth_63_at_dim_1", "depth_32_at_dim_2",
-        "depths_reversed_range"])
+        "depths_reversed_range", "sweep_depths_empty", "report_depths_empty"])
 def test_cli_bad_numeric_argument_exit_2(argv, capsys):
     # rejected as a config error before any sampling starts
     assert cli_main(argv) == 2

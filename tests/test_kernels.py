@@ -324,6 +324,159 @@ def test_tiled_sweep_at_the_default_tile(extra):
         _per_row_entropies(reference_sweep_depths, ch, depths)
 
 
+def _unit_chunk(points, weights, valid=None):
+    """A FakeChunk over the unit box from points (slots, rows, N) and
+    weights (slots, rows); every row bijective."""
+    x = np.asarray(points, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    valid = np.ones(w.shape, dtype=bool) if valid is None else valid
+    dim = x.shape[2]
+    return FakeChunk(x, valid, np.where(valid, w, 0.0),
+                     np.ones(w.shape[1], dtype=bool), [0.0] * dim, [1.0] * dim)
+
+
+def _calls_per_tile(ch, depths):
+    """(argsorts, grouping kernel calls) of each tile of one sweep of
+    ``ch``; a tile starts where the walk makes its ``_TileOrder``."""
+    tiles = []
+    argsort, kernel = np.argsort, loss._run_entropy_bits
+
+    class Counted(loss._TileOrder):
+        def __init__(self, *args, **kwargs):
+            tiles.append([0, 0])
+            super().__init__(*args, **kwargs)
+
+    def counted_argsort(*args, **kwargs):
+        tiles[-1][0] += 1
+        return argsort(*args, **kwargs)
+
+    def counted_kernel(*args, **kwargs):
+        tiles[-1][1] += 1
+        return kernel(*args, **kwargs)
+
+    ch.f_y_checked()  # the table is built before counting
+    with patch.object(loss, "_TileOrder", Counted), \
+            patch.object(np, "argsort", counted_argsort), \
+            patch.object(loss, "_run_entropy_bits", counted_kernel):
+        loss._sweep_depths(ch, depths)
+    return [tuple(t) for t in tiles]
+
+
+def _assert_sweep_matches_the_reference(ch, depths):
+    assert _per_row_entropies(loss._sweep_depths, ch, depths) == \
+        _per_row_entropies(reference_sweep_depths, ch, depths)
+
+
+def _cell_centres(axis_cells, depth):
+    """Points at the centres of the depth-``depth`` cells whose per-axis
+    indices ``axis_cells`` (..., N) gives."""
+    return (np.asarray(axis_cells, dtype=float) + 0.5) / (1 << depth)
+
+
+def test_sweep_resorts_where_the_deep_order_is_not_stable_one_depth_up():
+    # axis cells (2, 3) and (3, 0) at depth 2 are cells 11 and 12; one
+    # depth up they are (1, 1) and (1, 0), cells 3 and 2: the order flips
+    rng = np.random.default_rng(5)
+    pair = _cell_centres([[2, 3], [3, 0]], 2)
+    rows = 64
+    x = np.empty((2, rows, 2))
+    x[:, ::2] = pair[:, None, :]          # presorted at depth 2
+    x[:, 1::2] = pair[::-1, None, :]      # unsorted at depth 2
+    ch = _unit_chunk(x, rng.random((2, rows)) ** 4)
+    for depths in ([2, 1], [2, 1, 0], [1, 2], [3, 2, 1]):
+        _assert_sweep_matches_the_reference(ch, depths)
+    # the deepest order is sorted again one depth up
+    assert _calls_per_tile(ch, [2, 1]) == [(2, 2)]
+
+
+def test_sweep_resorts_a_shallow_tie_the_deep_order_has_out_of_slot_order():
+    # deep cells 5, 3, 4 sort as slots 1, 2, 0; at depth 1 they are 1, 0, 1,
+    # which that order reads 0, 1, 1: nondecreasing, but the tie puts
+    # slot 2 before slot 0, so the stable order is slots 1, 0, 2
+    rng = np.random.default_rng(7)
+    rows = 300
+    x = np.broadcast_to(_cell_centres([5, 3, 4], 3)[:, None, None],
+                        (3, rows, 1)).copy()
+    w = rng.random((3, rows)) * 10.0 ** rng.integers(-20, 1, (3, rows))
+    ch = _unit_chunk(x, w)
+    for depths in ([3, 1], [3, 2, 1, 0], [1, 3]):
+        _assert_sweep_matches_the_reference(ch, depths)
+    assert _calls_per_tile(ch, [3, 1]) == [(2, 2)]
+
+
+@pytest.mark.parametrize("depths", [(3, 0, 8, 3), (0, 0), (8, 8, 8),
+                                    (2, 5, 1, 5, 0), (10, 0, 9)])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("layout", ["sorted", "unsorted", "mixed"])
+def test_sweep_takes_unsorted_and_repeated_depths(depths, dim, layout):
+    rng = np.random.default_rng([dim, len(depths), sum(depths)])
+    rows = loss._SWEEP_TILE + 5
+    x = rng.choice([0.0, 0.1, 0.3, 0.31, 0.5, 0.52, 0.9, 1.0],
+                   size=(6, rows, dim)) + rng.random((6, rows, dim)) * 1e-3
+    if layout != "unsorted":
+        cols = slice(None) if layout == "sorted" else slice(0, rows, 3)
+        x[:, cols] = np.sort(x[:, cols], axis=0)
+    valid = rng.random((6, rows)) < 0.85
+    if layout == "sorted":
+        valid = np.sort(valid, axis=0)  # invalid slots first: cell -1
+    _assert_sweep_matches_the_reference(
+        _unit_chunk(x, rng.random((6, rows)), valid), depths)
+
+
+@pytest.mark.parametrize("depths", [list(range(9)),
+                                    [0, 8, 3, 5, 1, 4, 2, 7, 6, 3]])
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_sweep_copies_a_grouping_while_it_holds_then_computes_the_change(
+        order, depths):
+    # four slots in distinct cells from depth 8 down to depth 4; at depth
+    # 3 they merge in pairs, and at depth 0 all four
+    rng = np.random.default_rng(11)
+    rows = 40
+    deep = np.array([0, 16, 130, 145])  # depth-8 cells
+    if order == "reversed":
+        deep = deep[::-1]
+    x = np.broadcast_to(_cell_centres(deep, 8)[:, None, None],
+                        (4, rows, 1)).copy()
+    ch = _unit_chunk(x, rng.random((4, rows)))
+    _assert_sweep_matches_the_reference(ch, depths)
+    # deepest first, whatever the order given: depths 8-4 share one
+    # computation, 3-1 another, and 0 has its own.  Reversed, the tile
+    # sorts at depth 8, at depth 3 (where that order puts slot 1 before
+    # slot 0 in one pair) and at depth 0 (the stable order is the identity)
+    argsorts = 3 if order == "reversed" else 0
+    assert _calls_per_tile(ch, depths) == [(argsorts, 3)]
+
+
+def _first_chunk(setup):
+    a = setup.analysis
+    c, mlen = chunk_plan(a.n)[0]
+    return loss._Chunk(setup.pmap, setup.density,
+                       setup.density.sample(mlen, derived_seed(a.seed, c)),
+                       a.tol, a.k_max)
+
+
+@pytest.mark.parametrize("name, argsorts, kernels", [
+    # the fold3 tiles have two distinct orders and groupings (the
+    # per-depth sweep sorted and grouped every tile at all 9 depths)
+    ("ex6_m1", 2, 2),
+    # presorted tiles never sort; depths 6-8 share one grouping
+    ("ex3_exp_sawtooth", 0, 7),
+])
+def test_sweep_calls_per_tile_on_a_preset_chunk(setups, name, argsorts,
+                                               kernels):
+    ch = _first_chunk(setups[name])
+    depths = setups[name].analysis.depths
+    assert len(depths) == 9 and ch.x.shape[0] == 65536
+    calls = _calls_per_tile(ch, depths)
+    assert len(calls) == 65536 // loss._SWEEP_TILE
+    for tile_argsorts, tile_kernels in calls:
+        assert tile_argsorts <= argsorts
+        if name == "ex6_m1":
+            assert tile_kernels <= kernels
+        else:
+            assert tile_kernels == kernels
+
+
 # --- member-blocked family enumeration ---------------------------------------------
 
 TABLE_FIELDS = ("x", "valid", "weight", "jac", "part_of_slot", "k_of_slot",
