@@ -43,7 +43,7 @@ from .errors import (
     InfoLossError,
 )
 from .model import DEFAULT_N_PROBE, validate
-from .report import _CLASSIFY_CAP, build_report
+from .report import _CLASSIFY_CAP, _REPORT_SWEEP_CAP, build_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +116,8 @@ def cmd_classify(args) -> int:
 
 def cmd_estimate(args) -> int:
     """``loss``, ``bounds`` and ``sweep``: the estimator ``args.method``
-    names, printed as the report's section (the sweep as CSV)."""
+    names, printed as the report's section (the sweep as CSV, over at
+    most the report's ``_REPORT_SWEEP_CAP`` samples)."""
     setup = _load(args)
     n, seed, nodes, depths, workers = _analysis_overrides(setup, args)
     m, d, a = setup.pmap, setup.density, setup.analysis
@@ -126,6 +127,7 @@ def cmd_estimate(args) -> int:
                                            k_max=a.k_max, seed=seed)
     else:
         rep = loss_mod.estimate(m, d, n, seed, (name,), depths=depths,
+                                sweep_n=min(n, _REPORT_SWEEP_CAP),
                                 tol=a.tol, k_max=a.k_max,
                                 workers=workers)[name]
     if name != "sweep":

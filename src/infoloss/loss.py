@@ -50,7 +50,6 @@ from .numerics import (
     MCResult,
     PassBuffers,
     TILE_COLUMNS,
-    chunk_buffer,
     chunk_moments,
     chunk_plan,
     column_tiles,
@@ -324,29 +323,30 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
     weights are normalized once and the invalid slots are found once.
 
     The depths are taken deepest first, duplicates included, each result
-    written to its own depth's row.  A tile keeps the slot order of the
-    last depth that sorted, with its running sums (``_TileOrder``), for
-    as long as that order is the stable sort order of the next depth's
-    cells, and sorts again only when it is not; a presorted tile keeps
-    the identity order at every depth.  Under one order a shallower
-    depth can only merge runs of a deeper one, so a depth with as many
-    equal neighbours as the last depth computed under the same order
-    has the same runs, and copies that depth's entropies.  Either way
-    every depth reads the weights in its own stable order, as the
-    contract of ``_grouped_entropy_bits`` asks.
+    written to its own depth's row.  A tile keeps the ``_TileOrder`` of
+    the last depth that sorted, with the weights and running sums in
+    that order, for as long as ``place`` finds it is the stable sort
+    order of the next depth's cells, and sorts again only when it is
+    not; a presorted tile keeps the identity order at every depth.
+    Under one order a shallower depth can only merge runs of a deeper
+    one, so a depth with as many equal neighbours as the last depth
+    computed under the same order has the same runs, and copies that
+    depth's entropies.  Either way every depth reads the weights in its
+    own stable order, as the contract of ``_run_entropy_bits`` asks.
 
-    The per-row results ``h`` and each tile's scaled points and
-    normalized weights are pass buffers (``numerics.chunk_buffer``): the
-    reducer returns only their moments."""
+    The per-row results ``h`` and the tiles' scaled points and
+    normalized weights are one array each per chunk, the latter two cut
+    per tile, so a pass keeps no sweep array between chunks; the reducer
+    returns only their moments."""
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
     slots, rows, dim = t.x.shape
     tiles = column_tiles(rows, _SWEEP_TILE)
     widest = max(c.stop - c.start for c in tiles)
-    h = chunk_buffer("sweep_h", (len(depths), rows))
-    u_buf = chunk_buffer("sweep_u", (dim * slots * widest,))
-    wn_buf = chunk_buffer("sweep_wn", (slots * widest,))
+    h = np.empty((len(depths), rows))
+    u_buf = np.empty(dim * slots * widest)
+    wn_buf = np.empty(slots * widest)
     walk = sorted(range(len(depths)), key=lambda j: -depths[j])
     for cols in tiles:
         width = cols.stop - cols.start
@@ -358,16 +358,17 @@ def _sweep_depths(ch: _Chunk, depths: Sequence[int]):
         wn = np.divide(t.weight[:, cols], np.maximum(t.f_y[cols], 1e-300),
                        out=wn_buf[:size].reshape(slots, width))
         invalid = np.flatnonzero(~t.valid[:, cols])  # flat (slot, column)
-        tile = _TileOrder(wn)
+        order = _TileOrder(wn)
         last = None  # (row of h, equal neighbours) of the last computed depth
         for j, cell in zip(walk, _dyadic_cells(u, [depths[j] for j in walk])):
             cell.reshape(-1)[invalid] = -1  # a view: the cells are C-contiguous
-            same, nsame, resorted = tile.place(cell)
-            if last is not None and not resorted and nsame == last[1]:
+            placed, same, nsame = order.place(cell)
+            if last is not None and placed is order and nsame == last[1]:
                 h[j, cols] = h[last[0], cols]
             else:
-                h[j, cols] = _run_entropy_bits(same, nsame, tile.sums)
+                h[j, cols] = _run_entropy_bits(placed, same, nsame)
                 last = (j, nsame)
+            order = placed
     _loss_rows(ch, h)
     return tuple(chunk_moments(hj) for hj in h)
 
@@ -607,18 +608,24 @@ def _accumulate_rows(op, a: np.ndarray, reverse: bool = False) -> np.ndarray:
     return a
 
 
-class _RunningSums:
-    """The running sums of the (S, m) weights ``ww`` down the slot axis,
+class _TileOrder:
+    """A stable slot order of one tile of normalized weights ``wn`` (S, m),
+    kept for every set of cells whose stable sort order it is: ``flat``,
+    its flat (slot, column) gather index, and ``down``, where
+    order[s + 1] < order[s] (both None: the identity order); ``ww``, the
+    weights in that order; and their running sums down the slot axis,
     each built on first use and then kept: ``csum``, the running sum one
     slot at a time; ``base``, ``csum - ww``, the running sum before each
     slot; ``nonpositive``, the flat (slot, column) positions where ww is
     not positive; and ``monotone``, whether a running maximum of
     ``base`` and a running minimum of ``csum`` (from the last slot up)
-    would leave every bit of them as it is.  Nothing writes to ``ww`` or
-    to the sums."""
+    would leave every bit of them as it is.  Nothing writes to ``wn``,
+    to ``ww`` or to the sums."""
 
-    def __init__(self, ww: np.ndarray):
-        self.ww = ww
+    def __init__(self, wn: np.ndarray, flat: Optional[np.ndarray] = None,
+                 down: Optional[np.ndarray] = None):
+        self.wn, self.flat, self.down = wn, flat, down
+        self.ww = wn if flat is None else np.take(wn, flat)
 
     @cached_property
     def csum(self) -> np.ndarray:
@@ -647,60 +654,39 @@ class _RunningSums:
                     and np.all(csum[1:] >= csum[:-1])
                     and np.all(base[1:] >= base[:-1]))
 
-
-class _TileOrder:
-    """A slot order of one tile of normalized weights ``wn`` (S, m), the
-    weights gathered in that order, and their ``_RunningSums``, kept for
-    every set of cells whose stable sort order it is.  The order starts
-    as the identity, with ``sums`` (the ``_RunningSums`` of ``wn``, new
-    if not given) as its running sums; ``wn`` is not written to."""
-
-    def __init__(self, wn: np.ndarray, sums: Optional[_RunningSums] = None):
-        self.wn = wn
-        self.sums = _RunningSums(wn) if sums is None else sums
-        self.flat = None  # flat (slot, column) gather index; None: identity
-        self.down = None  # order[s + 1] < order[s]; None: identity
-
-    def place(self, cells: np.ndarray) -> tuple[np.ndarray, int, bool]:
-        """(``same``, its count of True, whether the order changed) for
-        the (S, m) ``cells`` taken in their stable sort order by cell:
-        ``same[s]`` is True where slot s + 1 of that order continues the
-        run of slot s.  The order is kept if it is that stable order, that
-        is if down every column the gathered cells never decrease and
-        every tie keeps increasing slot index; otherwise the cells are
-        sorted again.  A tile starts in the identity order, so a
+    def place(self, cells: np.ndarray) -> tuple[_TileOrder, np.ndarray, int]:
+        """(the stable sort order of the (S, m) ``cells`` by cell, ``same``,
+        its count of True): ``same[s]`` is True where slot s + 1 of that
+        order continues the run of slot s.  The order is this one if down
+        every column the cells gathered in it never decrease and every tie
+        keeps increasing slot index; otherwise the cells are sorted again
+        into a new order.  A tile starts in the identity order, so a
         presorted tile never sorts."""
         c = cells if self.flat is None else np.take(cells, self.flat)
         if np.all(c[1:] >= c[:-1]):
             same = c[1:] == c[:-1]
             if self.down is None or not np.any(same & self.down):
-                return same, int(np.count_nonzero(same)), False
-        order = np.argsort(cells, axis=0, kind="stable")
-        self.down = order[1:] < order[:-1]
-        order *= cells.shape[1]
-        order += np.arange(cells.shape[1])
-        self.flat = order
-        self.sums = _RunningSums(np.take(self.wn, order))
-        c = np.take(cells, order)
+                return self, same, int(np.count_nonzero(same))
+        flat = np.argsort(cells, axis=0, kind="stable")
+        down = flat[1:] < flat[:-1]
+        flat *= cells.shape[1]
+        flat += np.arange(cells.shape[1])
+        c = np.take(cells, flat)
         same = c[1:] == c[:-1]
-        return same, int(np.count_nonzero(same)), True
+        return (_TileOrder(self.wn, flat, down), same,
+                int(np.count_nonzero(same)))
 
 
-def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
-                          sums: Optional[_RunningSums] = None) -> np.ndarray:
-    """Entropy per row of posterior weights aggregated over equal cells.
-
-    cells: (S, m) int codes (-1 for invalid slots, whose weight is 0);
-    wn: (S, m) posterior weights, normalized as
-    ``weight / np.maximum(f_y, 1e-300)`` with f_y the column sums of the
-    unnormalized weights (the sweep normalizes a tile once for all its
-    depths).  ``wn`` is not written to.  ``sums``, the ``_RunningSums``
-    of ``wn``, is used when every column of ``cells`` is presorted (the
-    running sums depend only on the slot order, the identity there);
-    otherwise the cells are sorted and the sorted weights get their own.
-    This is one depth of the sweep's tile walk, which takes the depths
-    deepest first, places each depth's cells in the tile's
-    ``_TileOrder`` and runs ``_run_entropy_bits`` on the runs.
+def _run_entropy_bits(order: _TileOrder, same: np.ndarray,
+                      nsame: int) -> np.ndarray:
+    """Entropy per row of posterior weights aggregated over equal cells,
+    from the tile's weights in the cells' stable sort order ``order`` and
+    the run mask ``same`` (S - 1, m) of the sorted cells, ``nsame`` of it
+    True, as ``order.place(cells)`` returns them.  The cells are (S, m)
+    int codes (-1 for invalid slots, whose weight is 0); the weights are
+    normalized as ``weight / np.maximum(f_y, 1e-300)`` with f_y the
+    column sums of the unnormalized weights (the sweep normalizes a tile
+    once for all its depths).
 
     Arithmetic contract, which the report's bytes depend on and any
     other kernel must keep: the slots of each column are taken in their
@@ -717,7 +703,7 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
     so each depth keeps this contract.
 
     Where no slot continues a run (no two neighbours share a cell) and
-    ``_RunningSums.monotone`` holds, the running maximum and minimum
+    ``_TileOrder.monotone`` holds, the running maximum and minimum
     would change no bit, and the group weight is ``csum - base`` as it
     is.  A nondecreasing ``csum - ww`` is not given: normalized weights
     0.1, 1e-21, 0.7 give 0, 0.12500000000000003, 0.125 by rounding.
@@ -729,36 +715,26 @@ def _grouped_entropy_bits(cells: np.ndarray, wn: np.ndarray,
     wider table rounds differently from it (a one-column table of its
     own, such as a chunk of one row, is summed pairwise either way).
     """
-    tile = _TileOrder(wn, sums)
-    same, nsame, _ = tile.place(cells)
-    return _run_entropy_bits(same, nsame, tile.sums)
-
-
-def _run_entropy_bits(same: np.ndarray, nsame: int,
-                      rs: _RunningSums) -> np.ndarray:
-    """The entropies of ``_grouped_entropy_bits`` from the weights in
-    sorted order, ``rs.ww``, their running sums ``rs`` and the run mask
-    ``same`` (S - 1, m) of the sorted cells, ``nsame`` of it True."""
-    ww = rs.ww
+    ww = order.ww
     if ww.shape[0] == 0:
         return np.zeros(ww.shape[1])
-    if not nsame and rs.monotone:
-        group = rs.csum - rs.base
+    if not nsame and order.monotone:
+        group = order.csum - order.base
     else:
         runs = np.flatnonzero(same)
         # cumulative sum just before each run, forward-filled down the run
-        base = rs.base.copy()
+        base = order.base.copy()
         base[1:].reshape(-1)[runs] = -np.inf
         _accumulate_rows(np.maximum, base)
         # cumulative sum at each run's end, backward-filled up the run
-        group = rs.csum.copy()
+        group = order.csum.copy()
         group[:-1].reshape(-1)[runs] = np.inf
         _accumulate_rows(np.minimum, group, reverse=True)
         group -= base
     # the entropy terms ww * log2(group), 0 where ww is not positive
     contrib = np.log2(np.maximum(group, 1e-300, out=group), out=group)
     np.multiply(ww, contrib, out=contrib)
-    contrib.reshape(-1)[rs.nonpositive] = 0.0
+    contrib.reshape(-1)[order.nonpositive] = 0.0
     return -contrib.sum(axis=0)
 
 

@@ -21,14 +21,16 @@ selected.
 A chunk pass owns one set of working buffers per worker thread
 (``PassBuffers``): ``run_chunks`` opens a set around each worker's loop,
 and the quadrature of the loss module around its block loop.  The large
-arrays every chunk needs afresh, the samplers' proposals and accepted
-rows, the candidate table and the partition sweep's results and tile
-arrays, come from ``chunk_buffer``, which inside a pass lends each
-named buffer once per chunk as a contiguous leading view, instead of a
-new array whose pages a freed predecessor has just given back to the
-kernel.  The next chunk on the thread overwrites
-them, so a chunk's result, what ``fn`` returns to ``run_chunks``, must
-not be a view of them.  Outside a pass ``chunk_buffer`` is ``np.empty``.
+arrays every chunk of a pass needs afresh, the samplers' proposals and
+accepted rows and the candidate table, come from ``chunk_buffer``,
+which inside a pass lends each named buffer once per chunk as a
+contiguous leading view, instead of a new array whose pages a freed
+predecessor has just given back to the kernel.  The next chunk on the
+thread overwrites them, so a chunk's result, what ``fn`` returns to
+``run_chunks``, must not be a view of them.  Outside a pass
+``chunk_buffer`` is ``np.empty``.  The partition sweep runs on only the
+first chunks of a report's pass, so it allocates its arrays per chunk
+rather than hold them for the whole pass.
 """
 
 from __future__ import annotations
@@ -282,8 +284,10 @@ def run_chunks(fn: Callable[[int, int], object],
     thread runs per chunk: the calling thread takes chunks too, beside
     ``min(workers, len(plan)) - 1`` pool threads, so a pass starts one
     thread fewer and the caller's heap, warm from earlier passes, serves
-    its chunks instead of a new thread's.  Every chunk runs; the error
-    of the first failing chunk in plan order is raised.
+    its chunks instead of a new thread's.  The error of the first
+    failing chunk in plan order is raised: with more than one worker
+    after every chunk has run, at one worker as soon as it fails, so the
+    chunks after it do not run.
 
     Each thread runs its chunks inside its own ``PassBuffers``, open for
     the pass: the buffers ``fn`` takes by ``chunk_buffer`` are reused by

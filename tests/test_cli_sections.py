@@ -57,13 +57,26 @@ def test_bounds_prints_the_reports_bounds_section(reports, name):
     assert _run("bounds", name, *OPTS) == _json(reports(name)["bounds"])
 
 
-@pytest.mark.parametrize("name", PRESETS)
-def test_sweep_prints_the_reports_sweep_section_as_csv(reports, name):
-    sweep = reports(name)["sweep"]
+def _sweep_csv(sweep: dict) -> str:
     rows = zip(sweep["depths"], sweep["losses_bits"], sweep["stderrs_bits"])
     want = ["depth,loss_bits,stderr_bits",
             *(f"{depth},{lb!r},{se!r}" for depth, lb, se in rows)]
-    assert _run("sweep", name, *OPTS) == "\n".join(want) + "\n"
+    return "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_sweep_prints_the_reports_sweep_section_as_csv(reports, name):
+    assert _run("sweep", name, *OPTS) == _sweep_csv(reports(name)["sweep"])
+
+
+def test_sweep_above_the_reports_sample_cap_prints_its_section():
+    # the report's sweep reads at most _REPORT_SWEEP_CAP samples of a
+    # larger --n, and so does sweep
+    opts = ("--n", str(report._REPORT_SWEEP_CAP + 100_000), "--seed", "5",
+            "--depths", "2,6")
+    sweep = json.loads(_run("report", "ex6_m1", *opts, *NODES))["sweep"]
+    assert sweep["n_samples"] == report._REPORT_SWEEP_CAP
+    assert _run("sweep", "ex6_m1", *opts) == _sweep_csv(sweep)
 
 
 @pytest.mark.parametrize("command", ["bounds", "sweep"])  # loss: test_config_cli

@@ -20,7 +20,6 @@ from infoloss import loss, transform
 from infoloss.config import load_config, preset_path
 from infoloss.errors import SingularJacobianError
 from infoloss.exprlang import eval_array
-from infoloss.loss import _grouped_entropy_bits
 from infoloss.model import (
     Branch,
     PiecewiseMap,
@@ -58,6 +57,14 @@ def reference_grouped_entropy_bits(cells, w, f_y):
     return -contrib.sum(axis=0)
 
 
+def _entropy_bits(cells, wn, order=None):
+    """One depth of the sweep's kernel: ``cells`` placed in ``order`` (a
+    new identity order of ``wn`` if None), then grouped; returns the
+    entropies and the order they were read in."""
+    placed, same, nsame = (order or loss._TileOrder(wn)).place(cells)
+    return loss._run_entropy_bits(placed, same, nsame), placed
+
+
 @st.composite
 def grouping_cases(draw):
     """(cells, w, f_y) as the sweep passes them: -1 slots carry zero
@@ -91,7 +98,7 @@ def grouping_cases(draw):
 def test_grouped_entropy_bits_matches_the_reference_bytes(case):
     cells, w, f_y = case
     expected = reference_grouped_entropy_bits(cells, w, f_y)
-    got = _grouped_entropy_bits(cells.copy(), w / np.maximum(f_y, 1e-300))
+    got, _ = _entropy_bits(cells.copy(), w / np.maximum(f_y, 1e-300))
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -103,7 +110,7 @@ def test_grouped_entropy_bits_edge_slot_counts(slots):
     w = np.where(cells >= 0, rng.random((slots, 7)), 0.0)
     f_y = w.sum(axis=0)
     expected = reference_grouped_entropy_bits(cells, w, f_y)
-    got = _grouped_entropy_bits(cells, w / np.maximum(f_y, 1e-300))
+    got, _ = _entropy_bits(cells, w / np.maximum(f_y, 1e-300))
     assert got.tobytes() == expected.tobytes()
 
 
@@ -141,19 +148,20 @@ def shared_sweep_cases(draw):
 
 
 def _assert_shared_sweep_matches(cells, w, f_y):
-    """Every depth of one tile through one ``_RunningSums``, against the
-    per-depth kernel; the shared sums are left as built."""
+    """Every depth of one tile placed in one identity ``_TileOrder``,
+    against the reference; the shared order's sums are left as built.
+    Returns the order the last depth was read in."""
     wn = w / np.maximum(f_y, 1e-300)
-    sums = loss._RunningSums(wn)
+    shared = loss._TileOrder(wn)
     for c in cells:
         expected = reference_grouped_entropy_bits(c, w, f_y)
-        got = _grouped_entropy_bits(c.copy(), wn, sums)
+        got, placed = _entropy_bits(c.copy(), wn, shared)
         assert got.tobytes() == expected.tobytes()
-    fresh = loss._RunningSums(wn)
-    for name, value in vars(sums).items():
+    fresh = loss._TileOrder(wn)
+    for name, value in vars(shared).items():
         assert np.asarray(value).tobytes() == \
             np.asarray(getattr(fresh, name)).tobytes(), name
-    return sums
+    return placed
 
 
 @settings(max_examples=400, deadline=None)
@@ -175,8 +183,8 @@ def test_shared_running_sums_match_the_per_depth_kernel(case):
 def test_shared_running_sums_pinned_columns(column, cells, monotone):
     w = np.array(column)[:, None] * np.ones((1, 3))
     c = np.array(cells)[:, None] * np.ones((1, 3), dtype=np.int64)
-    sums = _assert_shared_sweep_matches([c], w, w.sum(axis=0))
-    assert sums.monotone is monotone
+    order = _assert_shared_sweep_matches([c], w, w.sum(axis=0))
+    assert order.monotone is monotone
 
 
 _ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.0, 3e-310]
@@ -225,7 +233,8 @@ def test_row_helpers_small_shapes_leave_the_input_alone(rows, dim):
 
 def reference_sweep_depths(ch, depths):
     """The sweep's depth loop as it was before column tiles: every depth
-    over the chunk's full table width."""
+    over the chunk's full table width, grouped by the reference kernel,
+    so it shares no code with the tile walk."""
     ch.f_y_checked()
     t = ch.table
     lo, hi = ch.d.support.bbox.arrays()
@@ -239,7 +248,7 @@ def reference_sweep_depths(ch, depths):
         for dd in range(1, ch.m.dim):
             cell = cell * ncells + axes[..., dd]
         cell = np.where(t.valid, cell, -1)
-        h = _grouped_entropy_bits(cell, t.weight / np.maximum(t.f_y, 1e-300))
+        h = reference_grouped_entropy_bits(cell, t.weight, t.f_y)
         per_depth.append(loss.chunk_moments(np.where(ch.ok, h, 0.0)))
     return tuple(per_depth)
 
@@ -337,14 +346,16 @@ def _unit_chunk(points, weights, valid=None):
 
 def _calls_per_tile(ch, depths):
     """(argsorts, grouping kernel calls) of each tile of one sweep of
-    ``ch``; a tile starts where the walk makes its ``_TileOrder``."""
+    ``ch``; a tile starts where the walk makes its identity-order
+    ``_TileOrder``."""
     tiles = []
     argsort, kernel = np.argsort, loss._run_entropy_bits
 
     class Counted(loss._TileOrder):
-        def __init__(self, *args, **kwargs):
-            tiles.append([0, 0])
-            super().__init__(*args, **kwargs)
+        def __init__(self, wn, flat=None, down=None):
+            if flat is None:
+                tiles.append([0, 0])
+            super().__init__(wn, flat, down)
 
     def counted_argsort(*args, **kwargs):
         tiles[-1][0] += 1

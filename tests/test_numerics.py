@@ -238,7 +238,7 @@ def test_scipy_special_is_imported_only_to_sample_a_gaussian(preset, loaded):
     assert res.stdout.split()[-1] == str(loaded)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_chunks_order_errors_and_the_calling_thread(workers):
     plan = [(c, 1000) for c in range(10)]
     ran, threads = [], set()
@@ -253,7 +253,8 @@ def test_run_chunks_order_errors_and_the_calling_thread(workers):
 
     with pytest.raises(RuntimeError, match="chunk 3"):
         run_chunks(fn, plan, workers)
-    assert sorted(ran) == list(range(10))  # every chunk runs
+    # one worker stops at the first failing chunk; more run every chunk
+    assert sorted(ran) == list(range(4 if workers == 1 else 10))
     assert threading.get_ident() in threads and len(threads) <= workers
     assert run_chunks(lambda c, m: (c, m), plan, workers) == plan
 

@@ -219,3 +219,29 @@ def test_report_bytes_with_reused_buffers(setups, monkeypatch, name):
                         np.empty(shape, dtype, order=order))
     expected = report_bytes(1)
     assert got == {w: expected for w in (1, 2, 3)}
+
+
+# the arrays every chunk of a pass takes: the samplers' and the table's
+PASS_NAMES = {"proposal", "proposal_f", "sample",
+              "table_x", "table_valid", "table_weight"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["ex3_exp_sawtooth", "ex6_m1"])
+def test_a_reports_pass_lends_no_sweep_array(setups, monkeypatch, name,
+                                             workers):
+    # the sweep runs on only the first chunks of a report's pass, so a
+    # buffer it took would outlive it for the rest of the pass
+    s = setups[name]
+    take, asked = PassBuffers.take, []
+
+    def recording(self, buf, *args):
+        asked.append(buf)
+        return take(self, buf, *args)
+
+    monkeypatch.setattr(PassBuffers, "take", recording)
+    rep = report.build_report(s, CHUNK_SIZE + 1000, 11, 16, s.analysis.depths,
+                              workers)
+    assert rep["sweep"]["n_samples"] == CHUNK_SIZE + 1000
+    table = {"table_x", "table_valid", "table_weight"}
+    assert table <= set(asked) <= PASS_NAMES
